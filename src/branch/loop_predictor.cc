@@ -3,7 +3,8 @@
 namespace espsim
 {
 
-LoopPredictor::LoopPredictor(std::size_t entries) : entries_(entries)
+LoopPredictor::LoopPredictor(std::size_t entries)
+    : entries_(entries), index_(entries)
 {
 }
 

@@ -14,6 +14,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/table_index.hh"
 #include "common/types.hh"
 
 namespace espsim
@@ -91,17 +92,18 @@ class LoopPredictor
     };
 
     std::vector<Entry> entries_;
+    TableIndex index_;
 
     std::size_t
     indexOf(Addr pc) const
     {
-        return static_cast<std::size_t>((pc >> 2) % entries_.size());
+        return static_cast<std::size_t>(index_.slot(pc >> 2));
     }
 
     std::uint32_t
     tagOf(Addr pc) const
     {
-        return static_cast<std::uint32_t>((pc >> 2) / entries_.size()) &
+        return static_cast<std::uint32_t>(index_.quotient(pc >> 2)) &
             0xffff;
     }
 };

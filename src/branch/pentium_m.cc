@@ -8,7 +8,9 @@ namespace espsim
 PentiumMPredictor::PentiumMPredictor(const BranchPredictorConfig &config)
     : config_(config), global_(config.globalEntries),
       local_(config.localEntries, 1), btb_(config.btbEntries),
-      ibtb_(config.ibtbEntries), loop_(config.loopEntries)
+      ibtb_(config.ibtbEntries), loop_(config.loopEntries),
+      globalIdx_(config.globalEntries), localIdx_(config.localEntries),
+      btbIdx_(config.btbEntries), ibtbIdx_(config.ibtbEntries)
 {
     if (config_.globalEntries == 0 || config_.localEntries == 0 ||
         config_.btbEntries == 0 || config_.ibtbEntries == 0) {

@@ -20,6 +20,7 @@
 #include "branch/pir.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
+#include "common/table_index.hh"
 #include "report/stat_registry.hh"
 #include "trace/micro_op.hh"
 
@@ -204,6 +205,10 @@ class PentiumMPredictor
     std::vector<TargetEntry> btb_;
     std::vector<TargetEntry> ibtb_;
     LoopPredictor loop_;
+    TableIndex globalIdx_;
+    TableIndex localIdx_;
+    TableIndex btbIdx_;
+    TableIndex ibtbIdx_;
 
     std::uint64_t stat_branches_ = 0;
     std::uint64_t stat_mispredicts_ = 0;
@@ -222,7 +227,7 @@ class PentiumMPredictor
     globalIndex(const Pir &pir, Addr pc) const
     {
         return static_cast<std::size_t>(
-            hashMix(pir.value() ^ (pc >> 2)) % config_.globalEntries);
+            globalIdx_.slot(hashMix(pir.value() ^ (pc >> 2))));
     }
 
     std::uint16_t
@@ -235,21 +240,19 @@ class PentiumMPredictor
     std::size_t
     localIndex(Addr pc) const
     {
-        return static_cast<std::size_t>((pc >> 2) %
-                                        config_.localEntries);
+        return static_cast<std::size_t>(localIdx_.slot(pc >> 2));
     }
 
     std::size_t
     btbIndex(Addr pc) const
     {
-        return static_cast<std::size_t>((pc >> 2) % config_.btbEntries);
+        return static_cast<std::size_t>(btbIdx_.slot(pc >> 2));
     }
 
     std::uint32_t
     btbTag(Addr pc) const
     {
-        return static_cast<std::uint32_t>((pc >> 2) /
-                                          config_.btbEntries) &
+        return static_cast<std::uint32_t>(btbIdx_.quotient(pc >> 2)) &
             0xfffff;
     }
 
@@ -257,7 +260,7 @@ class PentiumMPredictor
     ibtbIndex(const Pir &pir, Addr pc) const
     {
         return static_cast<std::size_t>(
-            hashMix(pir.value() * 7 ^ (pc >> 2)) % config_.ibtbEntries);
+            ibtbIdx_.slot(hashMix(pir.value() * 7 ^ (pc >> 2))));
     }
 
     std::uint32_t

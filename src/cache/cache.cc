@@ -18,24 +18,33 @@ SetAssocCache::SetAssocCache(CacheGeometry geometry)
     numSets_ = geometry_.numSets();
     if (numSets_ == 0)
         fatal("cache '%s': zero sets", geometry_.name.c_str());
-    if ((numSets_ & (numSets_ - 1)) == 0)
-        setMask_ = numSets_ - 1;
-    lines_.resize(numSets_ * geometry_.assoc);
+    sets_ = TableIndex(numSets_);
+    numLines_ = numSets_ * geometry_.assoc;
+    store_.assign(2 * numLines_ + (numLines_ + 7) / 8, 0);
+    for (std::size_t line = 0; line < numLines_; ++line)
+        tag(line) = invalidTag;
+}
+
+void
+SetAssocCache::clearDemandSeen()
+{
+    for (std::size_t line = 0; line < numLines_; ++line)
+        flags(line) &= static_cast<std::uint8_t>(~demandSeenFlag);
 }
 
 void
 SetAssocCache::invalidateAll()
 {
-    for (Line &line : lines_)
-        line = Line{};
+    for (std::size_t line = 0; line < numLines_; ++line)
+        invalidateLine(line);
 }
 
 std::size_t
 SetAssocCache::population() const
 {
     std::size_t n = 0;
-    for (const Line &line : lines_) {
-        if (line.valid)
+    for (std::size_t line = 0; line < numLines_; ++line) {
+        if (tag(line) != invalidTag)
             ++n;
     }
     return n;
@@ -45,8 +54,8 @@ std::size_t
 SetAssocCache::dirtyPopulation() const
 {
     std::size_t n = 0;
-    for (const Line &line : lines_) {
-        if (line.valid && line.dirty)
+    for (std::size_t line = 0; line < numLines_; ++line) {
+        if (tag(line) != invalidTag && (flags(line) & dirtyFlag))
             ++n;
     }
     return n;

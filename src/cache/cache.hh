@@ -6,11 +6,19 @@
  * values are stored). Used for L1-I, L1-D, L2, and as the substrate of
  * the ESP cachelets.
  *
+ * Lines are stored structure-of-arrays: a tag lane (an all-ones
+ * sentinel marks an invalid way, so a lookup is a pure tag compare),
+ * an LRU-stamp lane read only when choosing a victim, and a flags
+ * byte holding the dirty bit and the demand-seen bit of the
+ * hierarchy's lifecycle filter. A 16-way L2 set scan reads 128 B of
+ * tags instead of 16 whole line records.
+ *
  * The lookup/fill methods live in the header: they are the innermost
  * loop of every simulated memory access, and inlining them into the
  * core's issue loop removes a call per access and lets the set index
  * fold into a mask (set counts are powers of two for every real
- * geometry; a modulo fallback covers odd test geometries).
+ * geometry; TableIndex falls back to a modulo for odd test
+ * geometries).
  */
 
 #ifndef ESPSIM_CACHE_CACHE_HH
@@ -21,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "common/table_index.hh"
 #include "common/types.hh"
 
 namespace espsim
@@ -42,6 +51,9 @@ struct CacheGeometry
 class SetAssocCache
 {
   public:
+    /** Line handle returned by lookupLine() on a miss. */
+    static constexpr std::size_t noLine = ~std::size_t{0};
+
     explicit SetAssocCache(CacheGeometry geometry);
 
     const CacheGeometry &geometry() const { return geometry_; }
@@ -51,23 +63,30 @@ class SetAssocCache
      * hit.
      * @return true on hit.
      */
-    bool
-    lookup(Addr addr)
+    bool lookup(Addr addr) { return lookupLine(addr) != noLine; }
+
+    /**
+     * lookup() that returns the hit line's handle (noLine on a miss)
+     * for markDirty() / testAndSetDemandSeen(). A handle is valid
+     * until the next fill or invalidation.
+     */
+    std::size_t
+    lookupLine(Addr addr)
     {
         ++accesses_;
-        if (Line *line = findLine(addr)) {
-            line->lastUse = ++useClock_;
+        const std::size_t line = findLine(addr);
+        if (line != noLine) {
+            lastUse(line) = ++useClock_;
             ++hits_;
-            return true;
         }
-        return false;
+        return line;
     }
 
     /** Presence check without touching replacement state. */
     bool
     contains(Addr addr) const
     {
-        return findLine(addr) != nullptr;
+        return findLine(addr) != noLine;
     }
 
     /**
@@ -92,13 +111,26 @@ class SetAssocCache
         return insertInWays(addr, 0, geometry_.assoc - 1, dirty);
     }
 
-    /** Mark the block dirty if present. */
-    void
-    writeHit(Addr addr)
+    /** Mark the line behind a lookupLine() handle dirty. */
+    void markDirty(std::size_t line) { flags(line) |= dirtyFlag; }
+
+    /**
+     * Set the line's demand-seen bit; @return true when it was clear.
+     * The bit belongs to the MemoryHierarchy's lifecycle filter (see
+     * hierarchy.hh): every fill and invalidation clears it, so a set
+     * bit means "a counted demand access already scored this line
+     * since it was filled".
+     */
+    bool
+    testAndSetDemandSeen(std::size_t line)
     {
-        if (Line *line = findLine(addr))
-            line->dirty = true;
+        const bool fresh = (flags(line) & demandSeenFlag) == 0;
+        flags(line) |= demandSeenFlag;
+        return fresh;
     }
+
+    /** Clear every line's demand-seen bit (contents untouched). */
+    void clearDemandSeen();
 
     /** Drop every block. */
     void invalidateAll();
@@ -120,18 +152,48 @@ class SetAssocCache
     void clearStats() { accesses_ = hits_ = 0; }
 
   protected:
-    struct Line
-    {
-        Addr tag = 0;
-        bool valid = false;
-        bool dirty = false;
-        std::uint64_t lastUse = 0;
-    };
+    /** Tag of an invalid way; block numbers never reach it. */
+    static constexpr Addr invalidTag = ~Addr{0};
+    static constexpr std::uint8_t dirtyFlag = 1;
+    static constexpr std::uint8_t demandSeenFlag = 2;
 
     CacheGeometry geometry_;
     std::size_t numSets_;
-    std::size_t setMask_ = 0; //!< numSets_ - 1 when a power of two
-    std::vector<Line> lines_; //!< numSets_ * assoc, set-major
+    TableIndex sets_{1};
+    std::size_t numLines_ = 0; //!< numSets_ * assoc
+    /**
+     * The three line lanes in one allocation, numLines_ entries each
+     * and set-major: tags (invalidTag when empty), then LRU stamps,
+     * then the flag bytes. A set scan reads only its tags (8 B per
+     * way). One block rather than three: with three, glibc's malloc
+     * returned the lanes to the OS whenever a machine was destroyed,
+     * so every new machine paid the page faults again (building the
+     * default L2 took ~4x longer).
+     */
+    std::vector<std::uint64_t> store_;
+
+    Addr &tag(std::size_t line) { return store_[line]; }
+    Addr tag(std::size_t line) const { return store_[line]; }
+
+    std::uint64_t &
+    lastUse(std::size_t line)
+    {
+        return store_[numLines_ + line];
+    }
+
+    std::uint8_t &
+    flags(std::size_t line)
+    {
+        return reinterpret_cast<std::uint8_t *>(store_.data() +
+                                                2 * numLines_)[line];
+    }
+
+    std::uint8_t
+    flags(std::size_t line) const
+    {
+        return const_cast<SetAssocCache *>(this)->flags(line);
+    }
+
     std::uint64_t useClock_ = 0;
     std::uint64_t accesses_ = 0;
     std::uint64_t hits_ = 0;
@@ -139,59 +201,73 @@ class SetAssocCache
     std::size_t
     setIndex(Addr addr) const
     {
-        const auto block = static_cast<std::size_t>(blockNumber(addr));
-        return setMask_ ? (block & setMask_) : (block % numSets_);
+        return static_cast<std::size_t>(sets_.slot(blockNumber(addr)));
     }
 
     Addr tagOf(Addr addr) const { return blockNumber(addr); }
 
-    Line *
-    findLine(Addr addr)
-    {
-        const Addr tag = tagOf(addr);
-        Line *set = &lines_[setIndex(addr) * geometry_.assoc];
-        for (unsigned w = 0; w < geometry_.assoc; ++w) {
-            if (set[w].valid && set[w].tag == tag)
-                return &set[w];
-        }
-        return nullptr;
-    }
-
-    const Line *
+    /** Line index holding @p addr's block (any way), or noLine. */
+    std::size_t
     findLine(Addr addr) const
     {
-        return const_cast<SetAssocCache *>(this)->findLine(addr);
+        return findInWays(addr, 0, geometry_.assoc - 1);
+    }
+
+    std::size_t
+    findInWays(Addr addr, unsigned way_lo, unsigned way_hi) const
+    {
+        const Addr wanted = tagOf(addr);
+        const std::size_t base = setIndex(addr) * geometry_.assoc;
+        const Addr *set = store_.data() + base;
+        for (unsigned w = way_lo; w <= way_hi; ++w) {
+            if (set[w] == wanted)
+                return base + w;
+        }
+        return noLine;
+    }
+
+    /** Empty the line (tag, LRU stamp and flags). */
+    void
+    invalidateLine(std::size_t line)
+    {
+        tag(line) = invalidTag;
+        lastUse(line) = 0;
+        flags(line) = 0;
     }
 
     /**
      * Fill restricted to ways [way_lo, way_hi]; used by Cachelet's way
-     * reservation. @return the displaced block (see insertEvicting).
+     * reservation. The victim is the first invalid way in the range,
+     * else its least recently used way. A block already present in
+     * *any* way is refreshed in place. @return the displaced block
+     * (see insertEvicting).
      */
     std::optional<Addr>
     insertInWays(Addr addr, unsigned way_lo, unsigned way_hi, bool dirty)
     {
-        if (Line *line = findLine(addr)) {
-            line->lastUse = ++useClock_;
-            line->dirty = line->dirty || dirty;
+        const std::uint8_t fill_flags = dirty ? dirtyFlag : 0;
+        if (const std::size_t line = findLine(addr); line != noLine) {
+            lastUse(line) = ++useClock_;
+            flags(line) = static_cast<std::uint8_t>(
+                (flags(line) & dirtyFlag) | fill_flags);
             return std::nullopt;
         }
-        Line *set = &lines_[setIndex(addr) * geometry_.assoc];
-        Line *victim = &set[way_lo];
-        for (unsigned w = way_lo; w <= way_hi; ++w) {
-            if (!set[w].valid) {
-                victim = &set[w];
+        const std::size_t base = setIndex(addr) * geometry_.assoc;
+        std::size_t victim = base + way_lo;
+        for (std::size_t i = base + way_lo; i <= base + way_hi; ++i) {
+            if (tag(i) == invalidTag) {
+                victim = i;
                 break;
             }
-            if (set[w].lastUse < victim->lastUse)
-                victim = &set[w];
+            if (lastUse(i) < lastUse(victim))
+                victim = i;
         }
         std::optional<Addr> evicted;
-        if (victim->valid)
-            evicted = victim->tag * blockBytes;
-        victim->tag = tagOf(addr);
-        victim->valid = true;
-        victim->dirty = dirty;
-        victim->lastUse = ++useClock_;
+        if (tag(victim) != invalidTag)
+            evicted = tag(victim) * blockBytes;
+        tag(victim) = tagOf(addr);
+        lastUse(victim) = ++useClock_;
+        flags(victim) = fill_flags;
         return evicted;
     }
 
@@ -199,16 +275,12 @@ class SetAssocCache
     lookupInWays(Addr addr, unsigned way_lo, unsigned way_hi)
     {
         ++accesses_;
-        const Addr tag = tagOf(addr);
-        Line *set = &lines_[setIndex(addr) * geometry_.assoc];
-        for (unsigned w = way_lo; w <= way_hi; ++w) {
-            if (set[w].valid && set[w].tag == tag) {
-                set[w].lastUse = ++useClock_;
-                ++hits_;
-                return true;
-            }
-        }
-        return false;
+        const std::size_t line = findInWays(addr, way_lo, way_hi);
+        if (line == noLine)
+            return false;
+        lastUse(line) = ++useClock_;
+        ++hits_;
+        return true;
     }
 };
 

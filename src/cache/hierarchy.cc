@@ -38,6 +38,9 @@ MemoryHierarchy::finalizePrefetchLifecycles()
 {
     lifecycleInstr_.finalize();
     lifecycleData_.finalize();
+    // finalize() empties the demand-live sets the bits vouch for.
+    l1i_.clearDemandSeen();
+    l1d_.clearDemandSeen();
 }
 
 void

@@ -194,9 +194,21 @@ class MemoryHierarchy
     std::uint64_t stat_pf_issued_ = 0;
     std::uint64_t stat_pf_late_ = 0;
 
-    /** The demand path proper; inline so the whole L1→L2→memory walk
-     *  (including inflight-buffer consume and lifecycle scoring)
-     *  compiles into the caller's loop. */
+    /**
+     * The demand path proper; inline so the whole L1→L2→memory walk
+     * (including inflight-buffer consume and lifecycle scoring)
+     * compiles into the caller's loop.
+     *
+     * Lifecycle filter: a counted L1 hit on a line whose demand-seen
+     * bit is already set skips the tracker. The bit is set only here,
+     * on counted hits, and cleared by every fill and invalidation and
+     * by finalizePrefetchLifecycles(), so a set bit means the tracker
+     * has seen a counted demand access to this very line since its
+     * fill: the block is in its demand-live set, and any prefetch
+     * record for it is already scored as used (a new record needs a
+     * prefetch fill, which would have cleared the bit). The skipped
+     * onDemandAccess() would change nothing.
+     */
     AccessResult
     accessSide(SetAssocCache &l1, InflightPrefetchBuffer &inflight,
                PrefetchLifecycleTracker &lifecycle, Addr addr,
@@ -205,12 +217,16 @@ class MemoryHierarchy
     {
         if (countStats_)
             ++acc_stat;
+        const Addr block = blockAlign(addr);
         const Cycle l1_lat = l1.geometry().hitLatency;
-        const auto ready = inflight.consume(blockAlign(addr));
+        const auto ready = inflight.consume(block);
 
-        if (l1.lookup(addr)) {
-            if (countStats_)
-                lifecycle.onDemandAccess(blockAlign(addr), now);
+        if (const std::size_t line = l1.lookupLine(addr);
+            line != SetAssocCache::noLine) {
+            if (countStats_ && l1.testAndSetDemandSeen(line))
+                lifecycle.onDemandAccess(block, now);
+            if (write)
+                l1.markDirty(line);
             if (ready && *ready > now) {
                 // Prefetched block still being filled: pay the
                 // residue.
@@ -218,12 +234,8 @@ class MemoryHierarchy
                     ++miss_stat;
                     ++stat_pf_late_;
                 }
-                if (write)
-                    l1.writeHit(addr);
                 return {*ready - now + l1_lat, HitLevel::L2};
             }
-            if (write)
-                l1.writeHit(addr);
             return {l1_lat, HitLevel::L1};
         }
 
@@ -233,7 +245,7 @@ class MemoryHierarchy
         if (l2_.lookup(addr)) {
             const auto evicted = l1.insertEvicting(addr, write);
             if (countStats_)
-                lifecycle.onDemandFill(blockAlign(addr), evicted);
+                lifecycle.onDemandFill(block, evicted);
             return {l1_lat + l2_lat, HitLevel::L2};
         }
 
@@ -242,7 +254,7 @@ class MemoryHierarchy
         l2_.insert(addr);
         const auto evicted = l1.insertEvicting(addr, write);
         if (countStats_)
-            lifecycle.onDemandFill(blockAlign(addr), evicted);
+            lifecycle.onDemandFill(block, evicted);
         return {l1_lat + l2_lat + config_.memLatency, HitLevel::Memory};
     }
 

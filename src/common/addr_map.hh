@@ -52,6 +52,10 @@ class AddrMap
     V *
     find(Addr key)
     {
+        // Empty tables are common on the per-access path (no prefetch
+        // in flight, no prefetcher configured): skip hash and probe.
+        if (size_ == 0)
+            return nullptr;
         std::size_t i = homeSlot(key);
         while (keys_[i] != addrMapEmptyKey) {
             if (keys_[i] == key)
@@ -94,6 +98,8 @@ class AddrMap
     bool
     erase(Addr key)
     {
+        if (size_ == 0)
+            return false;
         std::size_t i = homeSlot(key);
         while (keys_[i] != key) {
             if (keys_[i] == addrMapEmptyKey)

@@ -34,8 +34,8 @@ cycleBucketName(CycleBucket bucket)
 OoOCore::OoOCore(const CoreConfig &config, MemoryHierarchy &mem,
                  PentiumMPredictor &bp, const PrefetcherConfig &prefetch,
                  CoreHooks &hooks)
-    : config_(config), mem_(mem), bp_(bp), hooks_(hooks),
-      prefetchCfg_(prefetch)
+    : config_(config), issueSlots_(config.width), mem_(mem), bp_(bp),
+      hooks_(hooks), prefetchCfg_(prefetch)
 {
     // The pipeline queues are bounded by construction; size their
     // rings once here so the run loop never allocates.
@@ -103,13 +103,15 @@ OoOCore::registerStats(StatRegistry &reg,
 }
 
 void
-OoOCore::advanceSlot(CycleBucket bucket)
+OoOCore::advanceSlots(unsigned slots, CycleBucket bucket)
 {
-    if (++slotInCycle_ >= config_.width) {
-        slotInCycle_ = 0;
-        ++fetchCycle_;
-        charge(bucket, 1);
-    }
+    // Equals @p slots single-slot steps: every wrap past the fetch
+    // width is one cycle.
+    const unsigned slot = slotInCycle_ + slots;
+    const Cycle cycles = issueSlots_.quotient(slot);
+    slotInCycle_ = static_cast<unsigned>(issueSlots_.slot(slot));
+    fetchCycle_ += cycles;
+    charge(bucket, cycles);
 }
 
 void
@@ -178,16 +180,11 @@ OoOCore::processOp(const MicroOp &op)
     // preceding producer can't issue in the same slot, and loads add a
     // load-to-use slot — this keeps the no-stall IPC of real code
     // (~2-2.5) rather than the fetch-width bound.
-    if ((op.srcA != noReg && op.srcA == lastDest_) ||
-        (op.srcB != noReg && op.srcB == lastDest_)) {
-        advanceSlot(CycleBucket::FrontendBubble);
-        advanceSlot(CycleBucket::FrontendBubble);
-        advanceSlot(CycleBucket::FrontendBubble);
-    }
-    if (op.isLoad()) {
-        advanceSlot(CycleBucket::FrontendBubble);
-        advanceSlot(CycleBucket::FrontendBubble);
-    }
+    const bool dependent = (op.srcA != noReg && op.srcA == lastDest_) ||
+        (op.srcB != noReg && op.srcB == lastDest_);
+    const unsigned bubble = (dependent ? 3u : 0u) + (op.isLoad() ? 2u : 0u);
+    if (bubble != 0)
+        advanceSlots(bubble, CycleBucket::FrontendBubble);
     lastDest_ = op.dest;
 
     const Cycle dispatch = fetchCycle_;
@@ -317,7 +314,7 @@ OoOCore::processOp(const MicroOp &op)
     entry.complete = complete;
     rob_.push_back(entry);
     ++stats_.instructions;
-    advanceSlot();
+    advanceSlots(1, CycleBucket::Retiring);
 }
 
 void

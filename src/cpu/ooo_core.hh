@@ -27,6 +27,7 @@
 
 #include "branch/pentium_m.hh"
 #include "common/ring_buffer.hh"
+#include "common/table_index.hh"
 #include "cache/hierarchy.hh"
 #include "common/stats.hh"
 #include "cpu/hooks.hh"
@@ -300,6 +301,7 @@ class OoOCore
     };
 
     const CoreConfig config_;
+    const TableIndex issueSlots_; //!< slot arithmetic mod width
     MemoryHierarchy &mem_;
     PentiumMPredictor &bp_;
     CoreHooks &hooks_;
@@ -347,7 +349,9 @@ class OoOCore
     void processOp(const MicroOp &op);
     void retireForSpace(const MicroOp &next_op);
     void drainRob();
-    void advanceSlot(CycleBucket bucket = CycleBucket::Retiring);
+    /** Advance the issue position by @p slots, charging each cycle
+     *  boundary crossed to @p bucket. */
+    void advanceSlots(unsigned slots, CycleBucket bucket);
     void executeLooperOverhead();
 };
 

@@ -41,14 +41,6 @@ PrefetchLifecycleTracker::issuedCounts() const
 }
 
 void
-PrefetchLifecycleTracker::clear()
-{
-    stats_ = {};
-    live_.clear();
-    demandLive_.clear();
-}
-
-void
 InflightPrefetchBuffer::growFifo()
 {
     // Unroll the ring into a fresh store twice the size, oldest

@@ -11,7 +11,19 @@
  * Both trackers sit on the per-demand-access path, so they use
  * open-addressed block-keyed tables (common/addr_map.hh) and an
  * intrusive ring for the FIFO instead of node-based containers: no
- * hashing-library heap nodes, no steady-state allocation.
+ * hashing-library heap nodes, no steady-state allocation. A lookup in
+ * an empty table returns before hashing, which is the common case of
+ * the in-flight buffer and of the lifecycle records when no
+ * prefetcher runs.
+ *
+ * The lifecycle tracker's tables are the only record of each block's
+ * state. The MemoryHierarchy keeps one exact filter in front of them:
+ * a per-line demand-seen bit in the L1 tag array that lets repeat
+ * counted L1 hits skip onDemandAccess() (see
+ * MemoryHierarchy::accessSide for the invariant). Evictions the
+ * tracker is never told about — fills made while statistics are gated
+ * off (runahead, naive ESP) or through the direct cache accessors —
+ * leave stale entries here, scored as they always were.
  */
 
 #ifndef ESPSIM_PREFETCH_INFLIGHT_HH
@@ -156,8 +168,6 @@ class PrefetchLifecycleTracker
     }
 
     PrefetchIssueCounts issuedCounts() const;
-
-    void clear();
 
   private:
     struct LiveEntry

@@ -4,20 +4,20 @@ namespace espsim
 {
 
 StridePrefetcher::StridePrefetcher(std::size_t entries, unsigned degree)
-    : table_(entries), degree_(degree)
+    : table_(entries), index_(entries), degree_(degree)
 {
 }
 
 std::size_t
 StridePrefetcher::indexOf(Addr pc) const
 {
-    return static_cast<std::size_t>((pc >> 2) % table_.size());
+    return static_cast<std::size_t>(index_.slot(pc >> 2));
 }
 
 std::uint32_t
 StridePrefetcher::tagOf(Addr pc) const
 {
-    return static_cast<std::uint32_t>((pc >> 2) / table_.size()) &
+    return static_cast<std::uint32_t>(index_.quotient(pc >> 2)) &
         0xffff;
 }
 

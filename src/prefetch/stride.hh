@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "cache/hierarchy.hh"
+#include "common/table_index.hh"
 #include "common/types.hh"
 
 namespace espsim
@@ -53,6 +54,7 @@ class StridePrefetcher
     };
 
     std::vector<Entry> table_;
+    TableIndex index_;
     unsigned degree_;
     std::uint64_t droppedWraps_ = 0;
 

@@ -37,9 +37,9 @@ StreamingWorkload::event(std::size_t idx) const
     if (it == cache_.end() || it->first != idx) {
         std::shared_ptr<EventTrace> slot;
         if (!freeList_.empty()) {
-            // Reuse a retired trace: move-assignment recycles its
-            // OpSequence arrays, so steady-state generation allocates
-            // only growth beyond the recycled capacity.
+            // Reuse a retired EventTrace object (no new shared_ptr
+            // allocation). The move-assignment frees its old op
+            // arrays and adopts the ones generation just allocated.
             slot = std::move(freeList_.back());
             freeList_.pop_back();
             *slot = source_->makeEvent(idx);

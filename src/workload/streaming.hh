@@ -10,13 +10,16 @@
  * id -> EventTrace function can feed the simulator, including the
  * request-serving profiles in src/server/.
  *
- * Retired traces are recycled through a small free list: the
- * EventTrace (and its OpSequence arrays) is move-assigned into, so in
- * steady state the per-event allocations are only what trace
- * generation itself needs beyond the recycled capacity — the
- * window-advance boundary is the only place the streaming loop
- * allocates (see tests/test_streaming.cc for the ESPSIM_ALLOC_COUNTER
- * assertions).
+ * Retired traces are recycled through a small free list: the next
+ * generated event is move-assigned into a retired EventTrace object,
+ * which saves that object's shared_ptr allocation. The move replaces
+ * the retired trace's OpSequence arrays with the freshly generated
+ * ones (the old arrays are freed), so op storage is *not* reused:
+ * every generation allocates its own lanes. Steady-state streaming
+ * therefore allocates a bounded amount per generated event and
+ * nothing on a cache hit — the window-advance boundary is the only
+ * place the streaming loop allocates (see tests/test_streaming.cc for
+ * the ESPSIM_ALLOC_COUNTER assertions).
  *
  * Concurrency contract is identical to the old LazyWorkload: safe to
  * share across concurrently replaying simulators; the cache is
@@ -112,7 +115,8 @@ class StreamingWorkload : public Workload
     std::size_t residentTraces() const;
     /** Total events generated over the lifetime (cache misses). */
     std::uint64_t generations() const;
-    /** Generations that reused a retired trace's storage. */
+    /** Generations that reused a retired EventTrace object (its
+     *  op arrays are replaced, not reused). */
     std::uint64_t recycled() const;
 
     const EventSource &source() const { return *source_; }

@@ -9,10 +9,15 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <optional>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "cache/hierarchy.hh"
+#include "common/rng.hh"
 #include "esp/lists.hh"
 #include "report/artifact.hh"
 #include "report/diff.hh"
@@ -178,6 +183,325 @@ TEST(Accounting, PrefetchEvictingDemandLiveBlockIsHarmful)
         mem.prefetchLifecycle(PrefetchSource::EspDList);
     EXPECT_EQ(s.issued, 2u);
     EXPECT_EQ(s.harmful, 2u);
+}
+
+namespace
+{
+
+/**
+ * Reference lifecycle tracker: the MERE-style taxonomy with every
+ * hook going straight to hash containers and no filter in front. It
+ * is scored exactly like PrefetchLifecycleTracker.
+ */
+class ReferenceLifecycle
+{
+  public:
+    void
+    onPrefetchIssue(Addr block, PrefetchSource source, Cycle ready,
+                    std::optional<Addr> evicted)
+    {
+        if (evicted)
+            onEviction(*evicted, source);
+        ++stats_[static_cast<std::size_t>(source)].issued;
+        live_[block] = Live{source, ready, false};
+    }
+
+    void
+    onDemandAccess(Addr block, Cycle now)
+    {
+        auto it = live_.find(block);
+        if (it != live_.end() && !it->second.used) {
+            it->second.used = true;
+            PrefetchSourceStats &s =
+                stats_[static_cast<std::size_t>(it->second.source)];
+            if (now >= it->second.ready) {
+                ++s.timely;
+                s.leadCycleSum += now - it->second.ready;
+            } else {
+                ++s.late;
+            }
+        }
+        demandLive_.insert(block);
+    }
+
+    void
+    onDemandFill(Addr block, std::optional<Addr> evicted)
+    {
+        if (evicted)
+            onEviction(*evicted, std::nullopt);
+        demandLive_.insert(block);
+        live_.erase(block);
+    }
+
+    void
+    finalize()
+    {
+        for (const auto &[block, entry] : live_) {
+            if (!entry.used)
+                ++stats_[static_cast<std::size_t>(entry.source)].useless;
+        }
+        live_.clear();
+        demandLive_.clear();
+    }
+
+    const PrefetchSourceStats &
+    stats(PrefetchSource source) const
+    {
+        return stats_[static_cast<std::size_t>(source)];
+    }
+
+  private:
+    struct Live
+    {
+        PrefetchSource source;
+        Cycle ready;
+        bool used;
+    };
+
+    void
+    onEviction(Addr block, std::optional<PrefetchSource> byPrefetch)
+    {
+        auto it = live_.find(block);
+        if (it != live_.end()) {
+            if (!it->second.used) {
+                ++stats_[static_cast<std::size_t>(it->second.source)]
+                      .useless;
+            } else if (byPrefetch) {
+                ++stats_[static_cast<std::size_t>(*byPrefetch)].harmful;
+            }
+            live_.erase(it);
+            demandLive_.erase(block);
+            return;
+        }
+        if (demandLive_.erase(block) && byPrefetch)
+            ++stats_[static_cast<std::size_t>(*byPrefetch)].harmful;
+    }
+
+    std::array<PrefetchSourceStats, numPrefetchSources> stats_{};
+    std::unordered_map<Addr, Live> live_;
+    std::unordered_set<Addr> demandLive_;
+};
+
+/** One side (I or D) of the reference hierarchy. */
+struct ReferenceSide
+{
+    explicit ReferenceSide(const CacheGeometry &geometry) : l1(geometry)
+    {
+    }
+
+    SetAssocCache l1;
+    InflightPrefetchBuffer inflight;
+    ReferenceLifecycle lifecycle;
+};
+
+/**
+ * MemoryHierarchy's demand and prefetch walk, scoring every counted
+ * demand access in the reference tracker.
+ */
+class ReferenceHierarchy
+{
+  public:
+    explicit ReferenceHierarchy(const HierarchyConfig &config)
+        : config_(config), i_(config.l1i), d_(config.l1d), l2_(config.l2)
+    {
+    }
+
+    ReferenceSide &side(bool instr) { return instr ? i_ : d_; }
+    SetAssocCache &l2() { return l2_; }
+    void setStatCounting(bool enable) { count_ = enable; }
+
+    AccessResult
+    access(bool instr, Addr addr, bool write, Cycle now)
+    {
+        ReferenceSide &s = side(instr);
+        const Addr block = blockAlign(addr);
+        const Cycle l1_lat = s.l1.geometry().hitLatency;
+        const Cycle l2_lat = l2_.geometry().hitLatency;
+        const auto ready = s.inflight.consume(block);
+        if (const std::size_t line = s.l1.lookupLine(addr);
+            line != SetAssocCache::noLine) {
+            if (count_)
+                s.lifecycle.onDemandAccess(block, now);
+            if (write)
+                s.l1.markDirty(line);
+            if (ready && *ready > now)
+                return {*ready - now + l1_lat, HitLevel::L2};
+            return {l1_lat, HitLevel::L1};
+        }
+        if (l2_.lookup(addr)) {
+            const auto evicted = s.l1.insertEvicting(addr, write);
+            if (count_)
+                s.lifecycle.onDemandFill(block, evicted);
+            return {l1_lat + l2_lat, HitLevel::L2};
+        }
+        l2_.insert(addr);
+        const auto evicted = s.l1.insertEvicting(addr, write);
+        if (count_)
+            s.lifecycle.onDemandFill(block, evicted);
+        return {l1_lat + l2_lat + config_.memLatency, HitLevel::Memory};
+    }
+
+    bool
+    prefetch(bool instr, Addr addr, Cycle now, PrefetchSource source)
+    {
+        ReferenceSide &s = side(instr);
+        if (s.l1.contains(addr) || s.inflight.contains(addr))
+            return false;
+        Cycle latency = s.l1.geometry().hitLatency +
+            l2_.geometry().hitLatency;
+        if (!l2_.contains(addr))
+            latency += config_.memLatency;
+        l2_.insert(addr);
+        const auto evicted = s.l1.insertEvicting(addr);
+        s.inflight.issue(blockAlign(addr), now + latency);
+        s.lifecycle.onPrefetchIssue(blockAlign(addr), source,
+                                    now + latency, evicted);
+        return true;
+    }
+
+    void
+    finalize()
+    {
+        i_.lifecycle.finalize();
+        d_.lifecycle.finalize();
+    }
+
+    PrefetchSourceStats
+    lifecycle(PrefetchSource source) const
+    {
+        const PrefetchSourceStats &i = i_.lifecycle.stats(source);
+        const PrefetchSourceStats &d = d_.lifecycle.stats(source);
+        PrefetchSourceStats sum;
+        sum.issued = i.issued + d.issued;
+        sum.timely = i.timely + d.timely;
+        sum.late = i.late + d.late;
+        sum.useless = i.useless + d.useless;
+        sum.harmful = i.harmful + d.harmful;
+        sum.leadCycleSum = i.leadCycleSum + d.leadCycleSum;
+        return sum;
+    }
+
+  private:
+    HierarchyConfig config_;
+    bool count_ = true;
+    ReferenceSide i_;
+    ReferenceSide d_;
+    SetAssocCache l2_;
+};
+
+void
+expectSameLifecycle(const MemoryHierarchy &mem,
+                    const ReferenceHierarchy &ref, int step)
+{
+    for (unsigned src = 0; src < numPrefetchSources; ++src) {
+        const auto source = static_cast<PrefetchSource>(src);
+        const PrefetchSourceStats a = mem.prefetchLifecycle(source);
+        const PrefetchSourceStats b = ref.lifecycle(source);
+        const char *name = prefetchSourceName(source);
+        EXPECT_EQ(a.issued, b.issued) << name << " step " << step;
+        EXPECT_EQ(a.timely, b.timely) << name << " step " << step;
+        EXPECT_EQ(a.late, b.late) << name << " step " << step;
+        EXPECT_EQ(a.useless, b.useless) << name << " step " << step;
+        EXPECT_EQ(a.harmful, b.harmful) << name << " step " << step;
+        EXPECT_EQ(a.leadCycleSum, b.leadCycleSum)
+            << name << " step " << step;
+    }
+}
+
+} // namespace
+
+/**
+ * The hierarchy scores prefetch lifecycles through an exact filter
+ * (the per-line demand-seen bit and the empty-table fast paths). Drive
+ * it and the unfiltered reference with one random stream that mixes
+ * counted and uncounted demand accesses, prefetches from every source,
+ * direct cache fills and invalidations, and mid-stream finalizes: the
+ * per-source stats must agree at every finalize.
+ */
+TEST(Accounting, LifecycleFiltersMatchReferenceTracker)
+{
+    // Small caches over a small block pool: plenty of L1 hits, repeat
+    // hits, conflict evictions and prefetch pollution.
+    HierarchyConfig config;
+    config.l1i = {"L1-I", 1024, 2, 2};
+    config.l1d = {"L1-D", 1024, 2, 2};
+    config.l2 = {"L2", 4096, 4, 12};
+    config.memLatency = 60;
+    MemoryHierarchy mem(config);
+    ReferenceHierarchy ref(config);
+
+    Rng rng(20150613);
+    Cycle now = 0;
+    const auto draw_addr = [&rng] {
+        return 0x400000 + rng.below(96) * blockBytes + rng.below(64);
+    };
+    int finalizes = 0;
+    for (int step = 0; step < 200000; ++step) {
+        now += rng.below(24);
+        const bool instr = rng.chance(0.4);
+        const Addr addr = draw_addr();
+        const std::uint64_t op = rng.below(100);
+        if (op < 60) {
+            const bool write = !instr && rng.chance(0.3);
+            const AccessResult a = instr ? mem.accessInstr(addr, now)
+                                         : mem.accessData(addr, write,
+                                                          now);
+            const AccessResult b = ref.access(instr, addr, write, now);
+            ASSERT_EQ(a.latency, b.latency) << "step " << step;
+            ASSERT_EQ(a.level, b.level) << "step " << step;
+        } else if (op < 85) {
+            const auto source = static_cast<PrefetchSource>(
+                rng.below(numPrefetchSources));
+            const bool a = instr ? mem.prefetchInstr(addr, now, source)
+                                 : mem.prefetchData(addr, now, source);
+            ASSERT_EQ(a, ref.prefetch(instr, addr, now, source))
+                << "step " << step;
+        } else if (op < 93) {
+            // Direct fills (naive ESP's path): the tracker never
+            // hears of the evictions they cause.
+            const std::uint64_t which = rng.below(3);
+            if (which == 2) {
+                mem.l2().insert(addr);
+                ref.l2().insert(addr);
+            } else {
+                (which ? mem.l1i() : mem.l1d()).insert(addr);
+                ref.side(which != 0).l1.insert(addr);
+            }
+        } else if (op < 97) {
+            // Runahead / naive ESP gate statistics off for a while.
+            const bool on = rng.chance(0.5);
+            mem.setStatCounting(on);
+            ref.setStatCounting(on);
+        } else if (op < 98 && rng.chance(0.05)) {
+            (instr ? mem.l1i() : mem.l1d()).invalidateAll();
+            ref.side(instr).l1.invalidateAll();
+        } else if (op < 99 && rng.chance(0.01)) {
+            mem.finalizePrefetchLifecycles();
+            ref.finalize();
+            expectSameLifecycle(mem, ref, step);
+            ++finalizes;
+        }
+    }
+    mem.finalizePrefetchLifecycles();
+    ref.finalize();
+    expectSameLifecycle(mem, ref, -1);
+    EXPECT_GT(finalizes, 0);
+
+    // The stream must have exercised every outcome of the taxonomy.
+    PrefetchSourceStats total;
+    for (unsigned src = 0; src < numPrefetchSources; ++src) {
+        const PrefetchSourceStats s =
+            ref.lifecycle(static_cast<PrefetchSource>(src));
+        EXPECT_GT(s.issued, 0u) << src;
+        total.timely += s.timely;
+        total.late += s.late;
+        total.useless += s.useless;
+        total.harmful += s.harmful;
+    }
+    EXPECT_GT(total.timely, 0u);
+    EXPECT_GT(total.late, 0u);
+    EXPECT_GT(total.useless, 0u);
+    EXPECT_GT(total.harmful, 0u);
 }
 
 TEST(Accounting, LifecycleStatsAppearInSimulatorSnapshot)

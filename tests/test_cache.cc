@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -141,6 +142,157 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<std::size_t, unsigned>{32 * 1024, 2},
                       std::pair<std::size_t, unsigned>{6 * 1024, 12},
                       std::pair<std::size_t, unsigned>{64 * 1024, 16}));
+
+// --- Victim order -------------------------------------------------
+//
+// These pin the exact replacement sequence of the tag array: the
+// victim is the first invalid way of the allowed range, else its
+// least recently used way, and a block already resident in any way is
+// refreshed in place.
+
+namespace
+{
+
+/** Block @p n of a one-set cache (every block maps to set 0). */
+constexpr Addr
+blk(unsigned n)
+{
+    return Addr{n} * blockBytes;
+}
+
+constexpr std::optional<Addr> noVictim = std::nullopt;
+
+} // namespace
+
+TEST(Cache, VictimOrderIsLeastRecentlyUsed)
+{
+    SetAssocCache c({"t", 4 * blockBytes, 4, 1}); // one set, 4 ways
+    EXPECT_EQ(c.insertEvicting(blk(0)), noVictim);
+    EXPECT_EQ(c.insertEvicting(blk(1)), noVictim);
+    EXPECT_EQ(c.insertEvicting(blk(2)), noVictim);
+    EXPECT_EQ(c.insertEvicting(blk(3)), noVictim);
+    EXPECT_TRUE(c.lookup(blk(0)));
+    EXPECT_TRUE(c.lookup(blk(2))); // LRU order now 1, 3, 0, 2
+    EXPECT_EQ(c.insertEvicting(blk(4)), std::optional<Addr>(blk(1)));
+    // Refreshing a resident block evicts nothing and makes it MRU.
+    EXPECT_EQ(c.insertEvicting(blk(3)), noVictim); // order 0, 2, 4, 3
+    EXPECT_EQ(c.insertEvicting(blk(5)), std::optional<Addr>(blk(0)));
+    EXPECT_EQ(c.insertEvicting(blk(6)), std::optional<Addr>(blk(2)));
+    EXPECT_EQ(c.insertEvicting(blk(7)), std::optional<Addr>(blk(4)));
+    // The victim comes back block-aligned whatever offset the filling
+    // address carries; contains() is block-granular.
+    EXPECT_EQ(c.insertEvicting(blk(8) + 17),
+              std::optional<Addr>(blk(3)));
+    EXPECT_TRUE(c.contains(blk(8)));
+    EXPECT_EQ(c.population(), 4u);
+    // A miss does not touch replacement state: 5 is still the LRU.
+    EXPECT_FALSE(c.lookup(blk(9)));
+    EXPECT_EQ(c.insertEvicting(blk(9)), std::optional<Addr>(blk(5)));
+}
+
+TEST(Cache, FirstInvalidWayWinsOverLeastRecent)
+{
+    // A cachelet can invalidate some ways of a set and keep others;
+    // plain insert() then spans every way.
+    Cachelet c({"cl", 4 * blockBytes, 4, 1}); // ESP-1 ways 0-2, ESP-2 3
+    c.insertFor(EspDepth::Esp1, blk(0));
+    c.insertFor(EspDepth::Esp1, blk(1));
+    c.insertFor(EspDepth::Esp1, blk(2));
+    c.insertFor(EspDepth::Esp2, blk(3));
+    c.invalidateFor(EspDepth::Esp1);
+    EXPECT_EQ(c.population(), 1u);
+    // Ways 0-2 are free: they fill in way order even though block 3
+    // (way 3) is the only valid line and would be the LRU.
+    EXPECT_EQ(c.insertEvicting(blk(4)), noVictim);
+    EXPECT_EQ(c.insertEvicting(blk(5)), noVictim);
+    EXPECT_EQ(c.insertEvicting(blk(6)), noVictim);
+    EXPECT_TRUE(c.lookupFor(EspDepth::Esp1, blk(4)));
+    EXPECT_TRUE(c.lookupFor(EspDepth::Esp1, blk(5)));
+    EXPECT_TRUE(c.lookupFor(EspDepth::Esp1, blk(6)));
+    // Full: the LRU line (block 3, way 3) goes next, and the new block
+    // lands in the ESP-2 way.
+    EXPECT_EQ(c.insertEvicting(blk(7)), std::optional<Addr>(blk(3)));
+    EXPECT_TRUE(c.lookupFor(EspDepth::Esp2, blk(7)));
+}
+
+TEST(Cache, DirtyBitSurvivesRefreshAndLeavesWithTheLine)
+{
+    SetAssocCache c({"t", 2 * blockBytes, 2, 1}); // one set, 2 ways
+    c.insert(blk(0), true);
+    EXPECT_EQ(c.dirtyPopulation(), 1u);
+    c.insert(blk(0), false); // a clean refresh keeps the dirty bit
+    EXPECT_EQ(c.dirtyPopulation(), 1u);
+    c.insert(blk(1), false);
+    EXPECT_EQ(c.dirtyPopulation(), 1u);
+    c.insert(blk(1), true); // a dirty refresh sets it
+    EXPECT_EQ(c.dirtyPopulation(), 2u);
+    // Block 0 is the LRU; its dirty bit leaves with it.
+    EXPECT_EQ(c.insertEvicting(blk(2)), std::optional<Addr>(blk(0)));
+    EXPECT_EQ(c.population(), 2u);
+    EXPECT_EQ(c.dirtyPopulation(), 1u);
+    c.markDirty(c.lookupLine(blk(2))); // a store hit
+    EXPECT_EQ(c.dirtyPopulation(), 2u);
+    // A clean fill into a way a dirty line vacated starts clean.
+    EXPECT_EQ(c.insertEvicting(blk(3)), std::optional<Addr>(blk(1)));
+    EXPECT_EQ(c.dirtyPopulation(), 1u);
+    c.invalidateAll();
+    EXPECT_EQ(c.population(), 0u);
+    EXPECT_EQ(c.dirtyPopulation(), 0u);
+    c.insert(blk(2));
+    EXPECT_EQ(c.dirtyPopulation(), 0u);
+}
+
+TEST(Cachelet, WayPartitionAcrossRotationAndInvalidation)
+{
+    Cachelet c({"cl", 4 * blockBytes, 4, 1}); // one set, 4 ways
+    ASSERT_EQ(c.reservedWay(), 3u);           // ESP-1 owns ways 0-2
+    c.insertFor(EspDepth::Esp1, blk(0));      // way 0
+    c.insertFor(EspDepth::Esp1, blk(1));      // way 1
+    c.insertFor(EspDepth::Esp1, blk(2));      // way 2
+    c.insertFor(EspDepth::Esp2, blk(3));      // way 3
+    // A block resident in the other partition is refreshed in place,
+    // not duplicated.
+    c.insertFor(EspDepth::Esp1, blk(3));
+    EXPECT_EQ(c.population(), 4u);
+    EXPECT_FALSE(c.lookupFor(EspDepth::Esp1, blk(3)));
+    // ESP-1 is full: its LRU way (block 0) is the victim, never the
+    // ESP-2 way.
+    c.insertFor(EspDepth::Esp1, blk(4)); // way 0
+    EXPECT_FALSE(c.contains(blk(0)));
+    EXPECT_TRUE(c.contains(blk(3)));
+
+    // Rotation: way 0 becomes ESP-2's and is cleared; block 3 (way 3)
+    // is promoted into ESP-1's ways 1-3.
+    c.rotateReservedWay();
+    EXPECT_EQ(c.reservedWay(), 0u);
+    EXPECT_FALSE(c.contains(blk(4)));
+    EXPECT_EQ(c.population(), 3u);
+    EXPECT_TRUE(c.lookupFor(EspDepth::Esp1, blk(3)));
+    EXPECT_TRUE(c.lookupFor(EspDepth::Esp1, blk(1)));
+    c.insertFor(EspDepth::Esp2, blk(5)); // way 0
+    // ESP-1's LRU among ways 1-3 is block 2 (blocks 3 and 1 were just
+    // touched).
+    c.insertFor(EspDepth::Esp1, blk(6));
+    EXPECT_FALSE(c.contains(blk(2)));
+    EXPECT_TRUE(c.contains(blk(6)));
+    EXPECT_EQ(c.population(), 4u);
+
+    c.invalidateFor(EspDepth::Esp2);
+    EXPECT_FALSE(c.contains(blk(5)));
+    EXPECT_EQ(c.population(), 3u);
+
+    // Rotating back clears way 3 (block 3) and hands ways 0-2 to ESP-1.
+    c.rotateReservedWay();
+    EXPECT_EQ(c.reservedWay(), 3u);
+    EXPECT_FALSE(c.contains(blk(3)));
+    EXPECT_EQ(c.population(), 2u);
+    EXPECT_TRUE(c.lookupFor(EspDepth::Esp1, blk(1)));
+    EXPECT_TRUE(c.lookupFor(EspDepth::Esp1, blk(6)));
+    EXPECT_FALSE(c.lookupFor(EspDepth::Esp2, blk(1)));
+    c.invalidateFor(EspDepth::Esp1);
+    EXPECT_EQ(c.population(), 0u);
+    EXPECT_EQ(c.dirtyPopulation(), 0u);
+}
 
 // --- Cachelet ------------------------------------------------------
 

@@ -18,6 +18,8 @@
 #include "common/arena.hh"
 #include "common/block_run_set.hh"
 #include "common/ring_buffer.hh"
+#include "common/rng.hh"
+#include "common/table_index.hh"
 #include "report/artifact.hh"
 #include "sim/simulator.hh"
 #include "sim/stats_report.hh"
@@ -181,9 +183,29 @@ TEST(AddrMap, ClearRetainsCapacityAndReuses)
         map.insertOrAssign(a << 6, 1);
     map.clear();
     EXPECT_TRUE(map.empty());
+    // The empty-table fast paths: nothing found, nothing erased.
+    EXPECT_EQ(map.find(0x40), nullptr);
+    EXPECT_FALSE(map.erase(0x40));
     map.insertOrAssign(0x1000, 7);
     ASSERT_NE(map.find(0x1000), nullptr);
     EXPECT_EQ(*map.find(0x1000), 7);
+}
+
+// --------------------------------------------------------------------
+// TableIndex (predictor / prefetcher / cache set indexing)
+// --------------------------------------------------------------------
+
+TEST(TableIndex, MatchesModuloAndDivisionForEverySize)
+{
+    Rng rng(11);
+    for (std::size_t entries : {1u, 2u, 3u, 12u, 256u, 2048u, 4095u}) {
+        const TableIndex index(entries);
+        for (int i = 0; i < 1000; ++i) {
+            const std::uint64_t key = rng.next();
+            ASSERT_EQ(index.slot(key), key % entries) << entries;
+            ASSERT_EQ(index.quotient(key), key / entries) << entries;
+        }
+    }
 }
 
 // --------------------------------------------------------------------

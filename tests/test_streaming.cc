@@ -1,10 +1,11 @@
 /**
  * @file
  * Tests for the streaming workload core: EventSource equivalence with
- * a fully-materialised trace, bounded residency, free-list recycling,
- * and (in ESPSIM_ALLOC_COUNTER builds) the amortised-O(1) allocation
- * guarantee — steady-state streaming allocates only at window-advance
- * boundaries.
+ * a fully-materialised trace, bounded residency, free-list recycling
+ * of retired EventTrace objects (their op arrays are replaced, not
+ * reused), and (in ESPSIM_ALLOC_COUNTER builds) the amortised-O(1)
+ * allocation guarantee — steady-state streaming allocates only at
+ * window-advance boundaries.
  */
 
 #include <gtest/gtest.h>
@@ -80,7 +81,8 @@ TEST(Streaming, SequentialPassRecyclesRetiredTraces)
         (void)w.event(i);
     // Every event was generated exactly once...
     EXPECT_EQ(w.generations(), w.numEvents());
-    // ...and once the window filled, retired traces fed generation.
+    // ...and once the window filled, retired EventTrace objects
+    // received the newly generated traces.
     EXPECT_GT(w.recycled(), 0u);
     EXPECT_LT(w.recycled(), w.generations());
 }
