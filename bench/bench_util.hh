@@ -28,7 +28,7 @@
 #include <string>
 #include <vector>
 
-#include "common/log.hh"
+#include "common/logging.hh"
 #include "common/table.hh"
 #include "common/version.hh"
 #include "report/artifact.hh"

@@ -17,7 +17,7 @@
  *   - artifact-roundtrip:    the suite JSON artifact re-parses and
  *                            reproduces every stat value exactly
  *   - interval-delta-closure: at any sample period, the interval
- *                            sampler's deltas telescope — baseline +
+ *                            series' deltas telescope — baseline +
  *                            Σ deltas == final counter snapshot
  *
  * On a violation the harness shrinks the profile to a minimal

@@ -4,9 +4,9 @@
 
 #include "common/logging.hh"
 #include "cpu/pacer.hh"
-#include "report/interval.hh"
 #include "report/spans.hh"
 #include "report/telemetry.hh"
+#include "report/timeline.hh"
 
 namespace espsim
 {
@@ -44,6 +44,26 @@ OoOCore::OoOCore(const CoreConfig &config, MemoryHierarchy &mem,
     specBucket_ = hooks_.engine() == SpecEngine::Runahead
         ? CycleBucket::Runahead
         : CycleBucket::EspPreExec;
+}
+
+void
+OoOCore::addObserver(SpanSink *sink)
+{
+    if (sink)
+        observers_.push_back(sink);
+}
+
+void
+OoOCore::setTimeline(EventTimeline *timeline)
+{
+    timeline_ = timeline;
+    addObserver(timeline);
+}
+
+void
+OoOCore::setTelemetry(TelemetrySnapshotter *telemetry)
+{
+    addObserver(telemetry);
 }
 
 void
@@ -115,7 +135,7 @@ OoOCore::advanceSlots(unsigned slots, CycleBucket bucket)
 }
 
 void
-OoOCore::retireForSpace(const MicroOp &next_op)
+OoOCore::retireForSpace()
 {
     if (rob_.size() < config_.robSize)
         return;
@@ -131,7 +151,6 @@ OoOCore::retireForSpace(const MicroOp &next_op)
             timeline_->recordStall(TimelineStall::DataMiss, fetchCycle_,
                                    idle);
         }
-        (void)next_op;
         fetchCycle_ = retire_at;
         slotInCycle_ = 0;
     }
@@ -140,7 +159,7 @@ OoOCore::retireForSpace(const MicroOp &next_op)
 void
 OoOCore::processOp(const MicroOp &op)
 {
-    retireForSpace(op);
+    retireForSpace();
 
     // --- Fetch: access the I-cache on block transitions. ------------
     const Addr iblock = blockAlign(op.pc);
@@ -322,14 +341,11 @@ OoOCore::drainRob()
 {
     Cycle last = fetchCycle_;
     bool miss_pending = false;
-    std::uint8_t miss_dest = noReg;
     for (std::size_t k = 0; k < rob_.size(); ++k) {
         const RobEntry &e = rob_.at(k);
         last = std::max(last, e.complete);
-        if (e.llcMissLoad && e.complete > fetchCycle_) {
+        if (e.llcMissLoad && e.complete > fetchCycle_)
             miss_pending = true;
-            miss_dest = e.llcMissDest;
-        }
     }
     // The drain just accounts remaining completion time; outstanding
     // misses were already reported to the engine at detection time.
@@ -343,7 +359,6 @@ OoOCore::drainRob()
     } else if (last > fetchCycle_) {
         charge(CycleBucket::Drain, last - fetchCycle_);
     }
-    (void)miss_dest;
     rob_.clear();
     lsq_.clear();
     fetchCycle_ = std::max(fetchCycle_, last);
@@ -368,18 +383,17 @@ OoOCore::executeLooperOverhead()
 void
 OoOCore::run(const Workload &workload)
 {
-    std::array<PrefetchSourceStats, numPrefetchSources> pf_life_start{};
+    const bool observed = !observers_.empty();
+    std::array<PrefetchSourceStats, numPrefetchSources> pf_start{};
     for (std::size_t idx = 0; idx < workload.numEvents(); ++idx) {
         const CycleBucketArray buckets_at_start = stats_.bucketCycles;
-        const PrefetchIssueCounts pf_at_start =
-            mem_.prefetchIssuedBySource();
-        // Span window opens before any idle charge: the span's bucket
+        // The record's window opens before any idle charge: its bucket
         // deltas cover every cycle the clock advances until retire,
-        // so Σ span buckets == retire - span_start by construction.
+        // so Σ record buckets == retire - span_start by construction.
         const Cycle span_start = fetchCycle_;
-        if (spanSink_) {
+        if (observed) {
             for (unsigned s = 0; s < numPrefetchSources; ++s) {
-                pf_life_start[s] = mem_.prefetchLifecycle(
+                pf_start[s] = mem_.prefetchLifecycle(
                     static_cast<PrefetchSource>(s));
             }
         }
@@ -395,15 +409,11 @@ OoOCore::run(const Workload &workload)
                 slotInCycle_ = 0;
             }
         }
-        if (timeline_)
-            timeline_->eventQueued(idx, queued_at);
         // The hook fires before the looper-gap instructions so the ESP
         // list prefetcher gets its ~70-instruction head start (§3.6).
         hooks_.onEventStart(idx, fetchCycle_);
         executeLooperOverhead();
         const Cycle dispatched_at = fetchCycle_;
-        if (timeline_)
-            timeline_->eventDispatched(idx, dispatched_at);
         if (pacer_)
             pacer_->eventDispatched(idx, dispatched_at);
         const InstCount instr_at_dispatch = stats_.instructions;
@@ -431,12 +441,13 @@ OoOCore::run(const Workload &workload)
         pendingSpecCycles_ = 0;
         ++stats_.events;
         // Keep the cycles counter live at retire boundaries so a
-        // mid-run counter snapshot (interval sampling) is consistent
-        // with the rest of the stat surface.
+        // mid-run counter snapshot is consistent with the rest of the
+        // stat surface.
         stats_.cycles = fetchCycle_;
         hooks_.onEventEnd(idx, fetchCycle_);
 
-        // Per-event-type (handler) cycle attribution.
+        // The event's cycle-bucket delta, computed once: it feeds the
+        // per-handler accounting and the observers' record.
         CycleBucketArray delta{};
         for (unsigned b = 0; b < numCycleBuckets; ++b)
             delta[b] = stats_.bucketCycles[b] - buckets_at_start[b];
@@ -446,54 +457,30 @@ OoOCore::run(const Workload &workload)
         for (unsigned b = 0; b < numCycleBuckets; ++b)
             acct.buckets[b] += delta[b];
 
-        if (timeline_) {
-            timeline_->eventRetired(idx, fetchCycle_,
-                                    stats_.instructions -
-                                        instr_at_dispatch);
-            std::vector<std::pair<std::string, Cycle>> bucket_args;
-            for (unsigned b = 0; b < numCycleBuckets; ++b) {
-                bucket_args.emplace_back(
-                    cycleBucketName(static_cast<CycleBucket>(b)),
-                    delta[b]);
-            }
-            timeline_->eventCycleBuckets(idx, std::move(bucket_args));
-            const PrefetchIssueCounts pf_now =
-                mem_.prefetchIssuedBySource();
-            std::vector<std::pair<std::string, std::uint64_t>> pf_args;
-            for (unsigned s = 0; s < numPrefetchSources; ++s) {
-                pf_args.emplace_back(
-                    prefetchSourceName(static_cast<PrefetchSource>(s)),
-                    pf_now[s] - pf_at_start[s]);
-            }
-            timeline_->eventPrefetchTallies(idx, std::move(pf_args));
-        }
-        if (spanSink_) {
-            RequestSpan span;
-            span.index = idx;
-            span.handlerType = event.handlerType;
-            span.startCycle = span_start;
-            span.arrival = queued_at;
-            span.dispatch = dispatched_at;
-            span.retire = fetchCycle_;
-            span.instructions = stats_.instructions - instr_at_dispatch;
-            span.buckets = delta;
-            for (unsigned s = 0; s < numPrefetchSources; ++s) {
-                const PrefetchSourceStats end = mem_.prefetchLifecycle(
-                    static_cast<PrefetchSource>(s));
-                span.prefetch[s] = SpanPrefetchDelta{
-                    end.issued - pf_life_start[s].issued,
-                    end.timely - pf_life_start[s].timely,
-                    end.late - pf_life_start[s].late,
-                    end.harmful - pf_life_start[s].harmful};
-            }
-            spanSink_->onSpan(span);
-        }
         if (pacer_)
             pacer_->eventRetired(idx, fetchCycle_);
-        if (sampler_)
-            sampler_->onEventRetired(stats_.events, fetchCycle_);
-        if (telemetry_)
-            telemetry_->onEventRetired(stats_.events, fetchCycle_);
+        if (!observed)
+            continue;
+        RequestSpan record;
+        record.index = idx;
+        record.handlerType = event.handlerType;
+        record.startCycle = span_start;
+        record.arrival = queued_at;
+        record.dispatch = dispatched_at;
+        record.retire = fetchCycle_;
+        record.instructions = stats_.instructions - instr_at_dispatch;
+        record.buckets = delta;
+        for (unsigned s = 0; s < numPrefetchSources; ++s) {
+            const PrefetchSourceStats end =
+                mem_.prefetchLifecycle(static_cast<PrefetchSource>(s));
+            record.prefetch[s] = SpanPrefetchDelta{
+                end.issued - pf_start[s].issued,
+                end.timely - pf_start[s].timely,
+                end.late - pf_start[s].late,
+                end.harmful - pf_start[s].harmful};
+        }
+        for (SpanSink *observer : observers_)
+            observer->onSpan(record);
     }
     stats_.cycles = fetchCycle_;
     if (stats_.bucketSum() != stats_.cycles) {

@@ -34,14 +34,13 @@
 #include "prefetch/next_line.hh"
 #include "prefetch/stride.hh"
 #include "report/stat_registry.hh"
-#include "report/timeline.hh"
 #include "trace/workload.hh"
 
 namespace espsim
 {
 
-class IntervalSampler;
 class EventPacer;
+class EventTimeline;
 class SpanSink;
 class TelemetrySnapshotter;
 
@@ -249,15 +248,28 @@ class OoOCore
     void registerStats(StatRegistry &reg,
                        const std::string &prefix) const;
 
-    /** Attach an opt-in per-event timeline sink (nullptr detaches). */
-    void setTimeline(EventTimeline *timeline) { timeline_ = timeline; }
+    /**
+     * Attach an observer of retired events (nullptr is ignored). Each
+     * retired event builds one RequestSpan — the core's per-event
+     * record: its queue/dispatch/retire cycles, cycle-bucket deltas
+     * and per-source prefetch lifecycle deltas, closing exactly
+     * against the accounting invariant (Σ record buckets == the cycles
+     * the clock advanced while the record was current). Records go to
+     * every observer in attach order, right after the pacer's
+     * eventRetired — the only points where the registered stat
+     * surface is consistent mid-run. See report/spans.hh.
+     */
+    void addObserver(SpanSink *sink);
 
     /**
-     * Attach an opt-in interval sampler (nullptr detaches); it is
-     * invoked at every event-retire boundary — the only points where
-     * the registered stat surface is consistent mid-run.
+     * Attach a per-event timeline: it observes records like any other
+     * observer and also receives every stall as it happens.
      */
-    void setSampler(IntervalSampler *sampler) { sampler_ = sampler; }
+    void setTimeline(EventTimeline *timeline);
+
+    /** addObserver() under the names existing callers use. */
+    void setSpanSink(SpanSink *sink) { addObserver(sink); }
+    void setTelemetry(TelemetrySnapshotter *telemetry);
 
     /**
      * Attach an opt-in event pacer (nullptr detaches): arrivals gate
@@ -266,28 +278,6 @@ class OoOCore
      * path's latency probe).
      */
     void setPacer(EventPacer *pacer) { pacer_ = pacer; }
-
-    /**
-     * Attach an opt-in per-request span sink (nullptr detaches): each
-     * retired event delivers one RequestSpan carrying its cycle-bucket
-     * deltas and per-source prefetch lifecycle deltas, closing exactly
-     * against the accounting invariant (Σ span buckets == the cycles
-     * the clock advanced while the span was current). See
-     * report/spans.hh.
-     */
-    void setSpanSink(SpanSink *sink) { spanSink_ = sink; }
-
-    /**
-     * Attach an opt-in live-telemetry snapshotter (nullptr detaches);
-     * like the interval sampler it observes only event-retire
-     * boundaries, publishing absolute counter snapshots into the
-     * telemetry plane. See report/telemetry.hh.
-     */
-    void
-    setTelemetry(TelemetrySnapshotter *telemetry)
-    {
-        telemetry_ = telemetry;
-    }
 
     /** Current-fetch-cycle accessor for hooks/tests. */
     Cycle now() const { return fetchCycle_; }
@@ -312,11 +302,9 @@ class OoOCore
     PrefetcherConfig prefetchCfg_;
 
     CoreStats stats_;
-    EventTimeline *timeline_ = nullptr;
-    IntervalSampler *sampler_ = nullptr;
+    EventTimeline *timeline_ = nullptr; //!< stall recording only
     EventPacer *pacer_ = nullptr;
-    SpanSink *spanSink_ = nullptr;
-    TelemetrySnapshotter *telemetry_ = nullptr;
+    std::vector<SpanSink *> observers_;
 
     // Pipeline state.
     Cycle fetchCycle_ = 0;
@@ -347,7 +335,7 @@ class OoOCore
      *  the speculation bucket, the remainder to @p bucket. */
     void chargeStall(CycleBucket bucket, Cycle cycles);
     void processOp(const MicroOp &op);
-    void retireForSpace(const MicroOp &next_op);
+    void retireForSpace();
     void drainRob();
     /** Advance the issue position by @p slots, charging each cycle
      *  boundary crossed to @p bucket. */

@@ -31,15 +31,6 @@ PrefetchLifecycleTracker::finalize()
     demandLive_.clear();
 }
 
-PrefetchIssueCounts
-PrefetchLifecycleTracker::issuedCounts() const
-{
-    PrefetchIssueCounts counts{};
-    for (unsigned s = 0; s < numPrefetchSources; ++s)
-        counts[s] = stats_[s].issued;
-    return counts;
-}
-
 void
 InflightPrefetchBuffer::growFifo()
 {

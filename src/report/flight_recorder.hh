@@ -1,15 +1,16 @@
 /**
  * @file
  * Flight-recorder export: replay a SpanCollector's ring — the most
- * recent window of request spans, ending at the anomaly trigger — into
- * an EventTimeline and write it as a Chrome trace_event JSON file that
- * loads directly in Perfetto.
+ * recent window of request spans, ending at the anomaly trigger —
+ * through EventTimeline's record consumer and write it as a Chrome
+ * trace_event JSON file that loads directly in Perfetto.
  *
  * Each span becomes an event slice (queue-head to retire, with a
  * nested execute slice) carrying its cycle-bucket blame and per-source
  * prefetch-issue tallies as slice args plus a stacked cycle-bucket
- * counter track, exactly like a live `--timeline` recording of the
- * same window. The trace header is stamped "flight-recorder" so a dump
+ * counter track — the same conversion a live `--timeline` recording
+ * applies to the same records (the ring holds no stalls, so a dump's
+ * stall tallies are zero). The trace header is stamped "flight-recorder" so a dump
  * is distinguishable from a full-run timeline.
  */
 

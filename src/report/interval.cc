@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/logging.hh"
 #include "common/version.hh"
 #include "report/artifact.hh"
 #include "report/json_writer.hh"
@@ -30,144 +29,47 @@ indexOf(const std::vector<std::string> &names, const std::string &name)
 
 } // namespace
 
-IntervalSampler::IntervalSampler(const StatRegistry &reg,
-                                 IntervalConfig period)
-    : reg_(reg)
-{
-    series_.period = period;
-    // Freeze the counter name set now: stats registered later (the
-    // post-run handler breakdown, derived metrics) never appear, so
-    // every sample sees the same names and deltas stay well-defined.
-    // Interning the getters here makes each sample a plain walk over
-    // them — no per-sample string maps.
-    getters_.reserve(reg_.size());
-    for (StatRegistry::CounterHandle &h : reg_.counterHandles()) {
-        series_.names.push_back(std::move(h.name));
-        getters_.push_back(std::move(h.getter));
-    }
-    series_.baseline.reserve(getters_.size());
-    for (const StatRegistry::Getter &getter : getters_)
-        series_.baseline.push_back(getter());
-    prev_ = series_.baseline;
-    nextCycle_ = period.sampleCycles;
-    nextEvents_ = period.sampleEvents;
-
-    idxCycles_ = indexOf(series_.names, "core.cycles");
-    idxInstructions_ = indexOf(series_.names, "core.instructions");
-    idxL1iMisses_ = indexOf(series_.names, "mem.l1i.misses");
-    idxL1dAccesses_ = indexOf(series_.names, "mem.l1d.accesses");
-    idxL1dMisses_ = indexOf(series_.names, "mem.l1d.misses");
-    idxEspPreExec_ =
-        indexOf(series_.names, "core.cycle_bucket.esp_pre_exec");
-}
-
-std::vector<double>
-IntervalSampler::currentValues() const
-{
-    std::vector<double> values;
-    values.reserve(getters_.size());
-    for (const StatRegistry::Getter &getter : getters_)
-        values.push_back(getter());
-    return values;
-}
-
 void
-IntervalSampler::onEventRetired(std::uint64_t events_retired, Cycle now)
+recordIntervalTracks(const IntervalSeries &series, EventTimeline &timeline)
 {
-    if (finalized_)
-        return;
-    const bool cycles_due =
-        series_.period.sampleCycles > 0 && now >= nextCycle_;
-    const bool events_due = series_.period.sampleEvents > 0 &&
-        events_retired >= nextEvents_;
-    if (!cycles_due && !events_due)
-        return;
-    sample(now, events_retired);
-    // Advance past every grid point the run has already crossed: an
-    // event spanning several periods yields one (larger) interval,
-    // since the registry is only consistent at retire boundaries.
-    if (series_.period.sampleCycles > 0) {
-        while (nextCycle_ <= now)
-            nextCycle_ += series_.period.sampleCycles;
-    }
-    if (series_.period.sampleEvents > 0) {
-        while (nextEvents_ <= events_retired)
-            nextEvents_ += series_.period.sampleEvents;
-    }
-}
-
-void
-IntervalSampler::sample(Cycle now, std::uint64_t events_retired)
-{
-    std::vector<double> values = currentValues();
-    IntervalPoint point;
-    point.endCycle = now;
-    point.endEvents = events_retired;
-    point.deltas.resize(values.size());
-    for (std::size_t i = 0; i < values.size(); ++i)
-        point.deltas[i] = values[i] - prev_[i];
-    prev_ = std::move(values);
-    emitTimelineCounters(point);
-    series_.intervals.push_back(std::move(point));
-}
-
-void
-IntervalSampler::emitTimelineCounters(const IntervalPoint &point)
-{
-    if (!timeline_)
-        return;
-    const auto delta = [&point](std::size_t idx) {
-        return idx == npos ? 0.0 : point.deltas[idx];
-    };
-    const double cycles = delta(idxCycles_);
-    const double instrs = delta(idxInstructions_);
-    std::vector<std::pair<std::string, double>> metrics;
-    if (cycles > 0) {
-        metrics.emplace_back("interval.ipc", instrs / cycles);
-        if (idxEspPreExec_ != npos) {
-            metrics.emplace_back("interval.esp_occupancy",
-                                 delta(idxEspPreExec_) / cycles);
+    const std::vector<std::string> &names = series.names;
+    const std::size_t idx_cycles = indexOf(names, "core.cycles");
+    const std::size_t idx_instructions =
+        indexOf(names, "core.instructions");
+    const std::size_t idx_l1i_misses = indexOf(names, "mem.l1i.misses");
+    const std::size_t idx_l1d_accesses =
+        indexOf(names, "mem.l1d.accesses");
+    const std::size_t idx_l1d_misses = indexOf(names, "mem.l1d.misses");
+    const std::size_t idx_esp_pre_exec =
+        indexOf(names, "core.cycle_bucket.esp_pre_exec");
+    for (const IntervalPoint &point : series.intervals) {
+        const auto delta = [&point](std::size_t idx) {
+            return idx == npos ? 0.0 : point.deltas[idx];
+        };
+        const double cycles = delta(idx_cycles);
+        const double instrs = delta(idx_instructions);
+        std::vector<std::pair<std::string, double>> metrics;
+        if (cycles > 0) {
+            metrics.emplace_back("interval.ipc", instrs / cycles);
+            if (idx_esp_pre_exec != npos) {
+                metrics.emplace_back("interval.esp_occupancy",
+                                     delta(idx_esp_pre_exec) / cycles);
+            }
         }
+        if (instrs > 0 && idx_l1i_misses != npos) {
+            metrics.emplace_back("interval.l1i_mpki",
+                                 delta(idx_l1i_misses) /
+                                     (instrs / 1000.0));
+        }
+        const double l1d_accesses = delta(idx_l1d_accesses);
+        if (l1d_accesses > 0 && idx_l1d_misses != npos) {
+            metrics.emplace_back("interval.l1d_miss_rate",
+                                 delta(idx_l1d_misses) / l1d_accesses);
+        }
+        if (!metrics.empty())
+            timeline.recordIntervalCounters(point.endCycle,
+                                            std::move(metrics));
     }
-    if (instrs > 0 && idxL1iMisses_ != npos) {
-        metrics.emplace_back("interval.l1i_mpki",
-                             delta(idxL1iMisses_) /
-                                 (instrs / 1000.0));
-    }
-    const double l1d_accesses = delta(idxL1dAccesses_);
-    if (l1d_accesses > 0 && idxL1dMisses_ != npos) {
-        metrics.emplace_back("interval.l1d_miss_rate",
-                             delta(idxL1dMisses_) / l1d_accesses);
-    }
-    if (!metrics.empty())
-        timeline_->recordIntervalCounters(point.endCycle,
-                                          std::move(metrics));
-}
-
-void
-IntervalSampler::finalize(Cycle now, std::uint64_t events_retired)
-{
-    if (finalized_)
-        panic("IntervalSampler: finalize() called twice");
-    std::vector<double> values = currentValues();
-    // Trailing partial interval: whatever moved since the last grid
-    // sample. Emitting it makes the deltas telescope exactly to the
-    // final snapshot.
-    if (values != prev_) {
-        IntervalPoint point;
-        point.endCycle = now;
-        point.endEvents = events_retired;
-        point.deltas.resize(values.size());
-        for (std::size_t i = 0; i < values.size(); ++i)
-            point.deltas[i] = values[i] - prev_[i];
-        emitTimelineCounters(point);
-        series_.intervals.push_back(std::move(point));
-    }
-    prev_ = values;
-    series_.finalCycle = now;
-    series_.finalEvents = events_retired;
-    series_.finalValues = std::move(values);
-    finalized_ = true;
 }
 
 std::string

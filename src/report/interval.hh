@@ -1,14 +1,16 @@
 /**
  * @file
- * Interval sampling engine: time-resolved counter series for one run.
+ * Interval series: time-resolved counter deltas for one run.
  *
- * Every figure in the paper is an end-of-run aggregate; this engine
- * exposes *phase behaviour* instead. The core invokes the sampler at
- * each event-retire boundary (the only points where the stat surface
- * is guaranteed consistent); whenever the run has advanced by the
- * configured cycle and/or event period, the sampler takes a
- * counter-only delta snapshot of the StatRegistry and appends one
- * interval to the series.
+ * Every figure in the paper is an end-of-run aggregate; the interval
+ * series exposes *phase behaviour* instead. It is the first
+ * difference of counter snapshots: a TelemetrySnapshotter
+ * (report/telemetry.hh) in its interval form freezes the registry's
+ * counter name set and reads a baseline at construction, snapshots
+ * the counters at each event-retire boundary (the only points where
+ * the stat surface is consistent) once the run has crossed the next
+ * cycle and/or event grid point, and appends each snapshot's
+ * difference from the previous one as one interval.
  *
  * Only Counter-kind stats (uint64-backed monotone counters, see
  * StatKind) are sampled. Their doubles are exact below 2^53, so the
@@ -17,10 +19,12 @@
  *     baseline + Σ interval deltas == final snapshot     (exactly)
  *
  * — a property the artifact validator, the unit tests and the fuzz
- * harness's interval-delta-closure oracle all check. Rates and ratios
- * (IPC, miss rates, ESP occupancy) are *not* sampled; downstream
- * consumers (tools/plot_intervals.py, the timeline counter tracks)
- * derive them per interval from the counter deltas.
+ * harness's interval-delta-closure oracle all check. The trailing
+ * partial interval is kept only when some counter moved after the
+ * last grid sample. Rates and ratios (IPC, miss rates, ESP occupancy)
+ * are *not* sampled; downstream consumers (tools/plot_intervals.py,
+ * the timeline counter tracks) derive them per interval from the
+ * counter deltas.
  *
  * The series is deterministic by construction — names are the
  * registry's sorted order, intervals fire at cycle/event grid points
@@ -36,7 +40,6 @@
 #include <vector>
 
 #include "common/types.hh"
-#include "report/stat_registry.hh"
 
 namespace espsim
 {
@@ -96,60 +99,12 @@ struct IntervalSeries
 };
 
 /**
- * Samples a StatRegistry's counters over a run. Construct after every
- * component registered its counters (the name set is frozen at
- * construction), attach to the core, finalize after the run.
+ * Append each interval of @p series to @p timeline as counter-track
+ * points (IPC, L1-I MPKI, L1-D miss rate and ESP occupancy derived
+ * from the interval's deltas).
  */
-class IntervalSampler
-{
-  public:
-    IntervalSampler(const StatRegistry &reg, IntervalConfig period);
-
-    /**
-     * Core callback at each event-retire boundary. Samples when a
-     * cycle/event grid point has been crossed since the last sample.
-     */
-    void onEventRetired(std::uint64_t events_retired, Cycle now);
-
-    /**
-     * Close the series: record the final counter snapshot and the
-     * trailing partial interval (if any counter moved since the last
-     * sample), so the deltas telescope to the final values.
-     */
-    void finalize(Cycle now, std::uint64_t events_retired);
-
-    /**
-     * Also emit each sample as timeline counter-track points (IPC,
-     * miss rates, ESP occupancy derived from the interval deltas).
-     */
-    void setTimeline(EventTimeline *timeline) { timeline_ = timeline; }
-
-    const IntervalSeries &series() const { return series_; }
-
-    /** Move the finished series out of the sampler. */
-    IntervalSeries take() { return std::move(series_); }
-
-  private:
-    const StatRegistry &reg_;
-    IntervalSeries series_;
-    /** Interned getters aligned with series_.names; each sample reads
-     *  these directly instead of building a string-keyed snapshot. */
-    std::vector<StatRegistry::Getter> getters_;
-    std::vector<double> prev_; //!< counter values at the last sample
-    Cycle nextCycle_ = 0;
-    std::uint64_t nextEvents_ = 0;
-    bool finalized_ = false;
-    EventTimeline *timeline_ = nullptr;
-
-    //!< Indices into series_.names for derived track metrics
-    //!< (npos when the counter is not registered in this run).
-    std::size_t idxCycles_, idxInstructions_, idxL1iMisses_,
-        idxL1dAccesses_, idxL1dMisses_, idxEspPreExec_;
-
-    std::vector<double> currentValues() const;
-    void sample(Cycle now, std::uint64_t events_retired);
-    void emitTimelineCounters(const IntervalPoint &point);
-};
+void recordIntervalTracks(const IntervalSeries &series,
+                          EventTimeline &timeline);
 
 /**
  * Render the canonical `espsim-interval-series` JSON artifact.

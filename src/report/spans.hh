@@ -10,12 +10,14 @@
  * stall shadow ESP pre-execution consumed on its behalf, and whether
  * the prefetches attributed to it were timely, late, or harmful.
  *
- * The core emits spans through the SpanSink interface (an attach-point
- * like EventTimeline / EventPacer: nullable pointer, zero cost when
- * absent). SpanCollector is the standard sink: a preallocated
- * flight-recorder ring of the most recent spans, a bounded worst-K
- * table, and an online tail-anomaly detector over a power-of-two
- * latency histogram. Steady state allocates nothing (see
+ * RequestSpan is the core's single per-event record: OoOCore builds
+ * one per retired event and hands it to every attached SpanSink in one
+ * loop (see OoOCore::addObserver). The event timeline, the counter
+ * snapshotter (telemetry and interval series) and the span collector
+ * are all SpanSinks. SpanCollector is the tail-latency sink: a
+ * preallocated flight-recorder ring of the most recent spans, a
+ * bounded worst-K table, and an online tail-anomaly detector over a
+ * power-of-two latency histogram. Steady state allocates nothing (see
  * tests/test_spans.cc for the ESPSIM_ALLOC_COUNTER assertions); only
  * the one-shot anomaly callback — which dumps the ring as a Perfetto
  * trace via report/flight_recorder.hh — is allowed to touch the heap.
@@ -91,7 +93,8 @@ struct RequestSpan
     }
 };
 
-/** Receives one RequestSpan per retired event (core attach-point). */
+/** Receives one RequestSpan per retired event (the core's single
+ *  observer interface; attach with OoOCore::addObserver). */
 class SpanSink
 {
   public:

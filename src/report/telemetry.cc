@@ -177,28 +177,53 @@ TelemetryPlane::degradedReason() const
 // TelemetrySnapshotter
 // --------------------------------------------------------------------
 
-TelemetrySnapshotter::TelemetrySnapshotter(const StatRegistry &reg,
-                                           TelemetryConfig cfg,
-                                           TelemetryRunInfo info,
-                                           TelemetryStream *stream,
-                                           TelemetryPlane *plane)
-    : cfg_(cfg), info_(std::move(info)), stream_(stream), plane_(plane),
-      names_(std::make_shared<std::vector<std::string>>())
+TelemetrySnapshotter::TelemetrySnapshotter(const StatRegistry &reg)
+    : names_(std::make_shared<std::vector<std::string>>())
 {
-    // Freeze the counter name set now, exactly like the
-    // IntervalSampler: stats registered after the run (handler
-    // breakdown, derived metrics) never appear, so every snapshot
-    // reads the same names.
+    // Freeze the counter name set now: stats registered after the run
+    // (handler breakdown, derived metrics) never appear, so every
+    // snapshot reads the same names. Interning the getters makes each
+    // snapshot a plain walk over them — no per-snapshot string maps.
     getters_.reserve(reg.size());
     for (StatRegistry::CounterHandle &h : reg.counterHandles()) {
         names_->push_back(std::move(h.name));
         getters_.push_back(std::move(h.getter));
     }
-    snap_.values.resize(getters_.size(), 0.0);
-    nextCycle_ = cfg_.periodCycles;
+    snap_.values.reserve(getters_.size());
+    for (const StatRegistry::Getter &getter : getters_)
+        snap_.values.push_back(getter());
     lastWall_ = std::chrono::steady_clock::now();
+}
+
+TelemetrySnapshotter::TelemetrySnapshotter(const StatRegistry &reg,
+                                           TelemetryConfig cfg,
+                                           TelemetryRunInfo info,
+                                           TelemetryStream *stream,
+                                           TelemetryPlane *plane)
+    : TelemetrySnapshotter(reg)
+{
+    cfg_ = cfg;
+    info_ = std::move(info);
+    stream_ = stream;
+    plane_ = plane;
+    nextCycle_ = cfg_.periodCycles;
     stallArmed_ = stallInjectRequested(&stallEvent_, &stallMs_);
     writeHeader();
+}
+
+TelemetrySnapshotter::TelemetrySnapshotter(const StatRegistry &reg,
+                                           IntervalConfig period,
+                                           IntervalSeries *series)
+    : TelemetrySnapshotter(reg)
+{
+    cfg_.periodCycles = period.sampleCycles;
+    periodEvents_ = period.sampleEvents;
+    series_ = series;
+    nextCycle_ = period.sampleCycles;
+    nextEvents_ = period.sampleEvents;
+    series_->period = period;
+    series_->names = *names_;
+    series_->baseline = snap_.values;
 }
 
 void
@@ -234,8 +259,31 @@ TelemetrySnapshotter::sample(Cycle now, std::uint64_t events_retired,
     snap_.cycle = now;
     snap_.events = events_retired;
     snap_.isFinal = final_;
-    for (std::size_t i = 0; i < getters_.size(); ++i)
-        snap_.values[i] = getters_[i]();
+    if (series_ == nullptr) {
+        for (std::size_t i = 0; i < getters_.size(); ++i)
+            snap_.values[i] = getters_[i]();
+    } else {
+        // The interval is the first difference against the previous
+        // snapshot (the baseline before the first one).
+        IntervalPoint point;
+        point.endCycle = now;
+        point.endEvents = events_retired;
+        point.deltas.resize(getters_.size());
+        bool moved = false;
+        for (std::size_t i = 0; i < getters_.size(); ++i) {
+            const double value = getters_[i]();
+            point.deltas[i] = value - snap_.values[i];
+            moved = moved || point.deltas[i] != 0.0;
+            snap_.values[i] = value;
+        }
+        if (!final_ || moved)
+            series_->intervals.push_back(std::move(point));
+        if (final_) {
+            series_->finalCycle = now;
+            series_->finalEvents = events_retired;
+            series_->finalValues = snap_.values;
+        }
+    }
     if (stream_ != nullptr)
         stream_->writeLine(renderTelemetrySnapshotJson(
             info_, *names_, snap_, /*includeNames=*/false));
@@ -244,11 +292,12 @@ TelemetrySnapshotter::sample(Cycle now, std::uint64_t events_retired,
 }
 
 void
-TelemetrySnapshotter::onEventRetired(std::uint64_t events_retired,
-                                     Cycle now)
+TelemetrySnapshotter::onSpan(const RequestSpan &span)
 {
     if (finalized_)
         return;
+    const std::uint64_t events_retired = span.index + 1;
+    const Cycle now = span.retire;
     if (plane_ != nullptr)
         plane_->noteProgress();
     if (stallArmed_ && events_retired == stallEvent_) {
@@ -258,7 +307,22 @@ TelemetrySnapshotter::onEventRetired(std::uint64_t events_retired,
         std::this_thread::sleep_for(
             std::chrono::milliseconds(stallMs_));
     }
-    bool due = cfg_.periodCycles > 0 && now >= nextCycle_;
+    // Either grid re-anchors past the current point once crossed, so
+    // a long event skips grid points instead of emitting a burst of
+    // stale snapshots (the registry is only consistent at retires).
+    bool due = false;
+    if (cfg_.periodCycles > 0 && now >= nextCycle_) {
+        due = true;
+        nextCycle_ +=
+            ((now - nextCycle_) / cfg_.periodCycles + 1) *
+            cfg_.periodCycles;
+    }
+    if (periodEvents_ > 0 && events_retired >= nextEvents_) {
+        due = true;
+        nextEvents_ +=
+            ((events_retired - nextEvents_) / periodEvents_ + 1) *
+            periodEvents_;
+    }
     if (cfg_.wallMs > 0 && !due) {
         // The steady_clock read costs far more than a retire; check
         // it only every 64 retires. Worst-case staleness at serve
@@ -276,16 +340,8 @@ TelemetrySnapshotter::onEventRetired(std::uint64_t events_retired,
             }
         }
     }
-    if (!due)
-        return;
-    if (cfg_.periodCycles > 0 && now >= nextCycle_) {
-        // Re-anchor the grid past `now` so a long event skips grid
-        // points instead of emitting a burst of stale samples.
-        nextCycle_ +=
-            ((now - nextCycle_) / cfg_.periodCycles + 1) *
-            cfg_.periodCycles;
-    }
-    sample(now, events_retired, /*final_=*/false);
+    if (due)
+        sample(now, events_retired, /*final_=*/false);
 }
 
 void

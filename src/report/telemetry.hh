@@ -8,16 +8,21 @@
  * shape: in-flight visibility. This header provides it in three
  * pieces:
  *
- *  - **TelemetrySnapshotter** — takes periodic counter snapshots of
- *    the StatRegistry at event-retire boundaries (the only points
- *    where the stat surface is consistent), paced by simulated cycles
- *    and/or wall-clock time. Snapshots are *absolute* counter values
- *    (not deltas like the IntervalSampler), so every snapshot is a
+ *  - **TelemetrySnapshotter** — the one counter-snapshot mechanism.
+ *    It freezes the StatRegistry's counter name set and reads a
+ *    baseline at construction, then observes the core's per-event
+ *    records (it is a SpanSink) and takes *absolute* counter snapshots
+ *    at event-retire boundaries (the only points where the stat
+ *    surface is consistent), paced by simulated cycles, retired
+ *    events and/or wall-clock time. Every snapshot is a
  *    self-contained readout: counters are monotone across snapshots
- *    and the final snapshot — always emitted at finalize — equals the
+ *    and the final snapshot — always taken at finalize — equals the
  *    end-of-run registry values exactly (uint64 counters are exact in
- *    double below 2^53). Snapshots stream as versioned JSON-lines
- *    through a TelemetryStream and publish into a TelemetryPlane.
+ *    double below 2^53). In its telemetry form snapshots stream as
+ *    versioned JSON-lines through a TelemetryStream and publish into
+ *    a TelemetryPlane; in its interval form each snapshot's first
+ *    difference becomes one interval of an IntervalSeries
+ *    (report/interval.hh).
  *
  *  - **TelemetryStream** — a JSON-lines sink (file or in-memory for
  *    tests). One stream may carry several run blocks (a serve sweep
@@ -62,6 +67,8 @@
 #include <vector>
 
 #include "common/types.hh"
+#include "report/interval.hh"
+#include "report/spans.hh"
 #include "report/stat_registry.hh"
 
 namespace espsim
@@ -203,44 +210,58 @@ class TelemetryPlane
 };
 
 /**
- * Samples a StatRegistry's counters over one run. Construct after
- * every pre-run counter is registered (the name set freezes now, like
- * the IntervalSampler), attach to the core, finalize after the run.
+ * Snapshots a StatRegistry's counters over one run. Construct after
+ * every pre-run counter is registered (the name set and the baseline
+ * freeze now), attach to the core as an observer, finalize after the
+ * run.
  */
-class TelemetrySnapshotter
+class TelemetrySnapshotter final : public SpanSink
 {
   public:
-    /** @p stream and @p plane are both nullable (either sink alone is
-     *  useful); the header line is written immediately. */
+    /** Telemetry form, paced by @p cfg. @p stream and @p plane are
+     *  both nullable (either sink alone is useful); the header line
+     *  is written immediately. */
     TelemetrySnapshotter(const StatRegistry &reg, TelemetryConfig cfg,
                          TelemetryRunInfo info, TelemetryStream *stream,
                          TelemetryPlane *plane);
 
-    /** Core callback at each event-retire boundary. */
-    void onEventRetired(std::uint64_t events_retired, Cycle now);
+    /**
+     * Interval form, paced by @p period's cycle and event grids: fills
+     * @p series with the names and baseline now, one interval per
+     * snapshot (its difference from the previous one), and the final
+     * values at finalize. The trailing interval is dropped when no
+     * counter moved after the last grid snapshot.
+     */
+    TelemetrySnapshotter(const StatRegistry &reg, IntervalConfig period,
+                         IntervalSeries *series);
+
+    /** A retired event (its record's index + 1 events have retired). */
+    void onSpan(const RequestSpan &span) override;
 
     /**
-     * Close the block: emit the final snapshot (always, flagged
-     * `"final": true`), whose values equal the end-of-run registry
-     * counters exactly.
+     * Take the closing snapshot (always, flagged `"final": true`),
+     * whose values equal the end-of-run registry counters exactly.
      */
     void finalize(Cycle now, std::uint64_t events_retired);
 
     const std::vector<std::string> &names() const { return *names_; }
     std::uint64_t snapshots() const { return seq_; }
-    /** The back buffer after the most recent sample. */
+    /** The back buffer: the baseline until the first snapshot. */
     const TelemetrySnapshot &lastSnapshot() const { return snap_; }
 
   private:
     TelemetryConfig cfg_;
+    std::uint64_t periodEvents_ = 0;
     TelemetryRunInfo info_;
-    TelemetryStream *stream_;
-    TelemetryPlane *plane_;
+    TelemetryStream *stream_ = nullptr;
+    TelemetryPlane *plane_ = nullptr;
+    IntervalSeries *series_ = nullptr;
     std::shared_ptr<std::vector<std::string>> names_;
     std::vector<StatRegistry::Getter> getters_;
     TelemetrySnapshot snap_; //!< writer-owned back buffer (reused)
     std::uint64_t seq_ = 0;
     Cycle nextCycle_ = 0;
+    std::uint64_t nextEvents_ = 0;
     std::chrono::steady_clock::time_point lastWall_;
     unsigned sinceWallCheck_ = 0;
     bool finalized_ = false;
@@ -249,6 +270,8 @@ class TelemetrySnapshotter
     std::uint64_t stallEvent_ = 0;
     unsigned stallMs_ = 0;
 
+    /** Freeze the name set and read the baseline into snap_. */
+    explicit TelemetrySnapshotter(const StatRegistry &reg);
     void writeHeader();
     void sample(Cycle now, std::uint64_t events_retired, bool final_);
 };

@@ -54,68 +54,24 @@ timelineStallName(TimelineStall kind)
 }
 
 void
-EventTimeline::eventQueued(std::size_t event_idx, Cycle now)
+EventTimeline::onSpan(const RequestSpan &span)
 {
-    if (eventLimit_ > 0 && numEvents() >= eventLimit_) {
-        // Over the cap: flush whatever is buffered so the kept
-        // prefix reaches the stream, then drop this and later events.
-        if (stream_ && !dropping_)
-            flushCompletedEvent();
-        dropping_ = true;
+    curEvent_ = span.index + 1;
+    if (full()) {
         ++droppedEvents_;
-        curEvent_ = event_idx;
         return;
     }
+    pending_.record = span;
+    events_.push_back(pending_);
+    pending_ = EventSpan{};
     if (stream_)
-        flushCompletedEvent();
-    EventSpan span;
-    span.index = event_idx;
-    span.queued = now;
-    span.dispatched = now;
-    span.retired = now;
-    events_.push_back(span);
-    curEvent_ = event_idx;
-}
-
-void
-EventTimeline::eventDispatched(std::size_t event_idx, Cycle now)
-{
-    if (!events_.empty() && events_.back().index == event_idx)
-        events_.back().dispatched = now;
-}
-
-void
-EventTimeline::eventRetired(std::size_t event_idx, Cycle now,
-                            InstCount instructions)
-{
-    if (!events_.empty() && events_.back().index == event_idx) {
-        events_.back().retired = now;
-        events_.back().instructions = instructions;
-    }
-}
-
-void
-EventTimeline::eventCycleBuckets(
-    std::size_t event_idx,
-    std::vector<std::pair<std::string, Cycle>> buckets)
-{
-    if (!events_.empty() && events_.back().index == event_idx)
-        events_.back().cycleBuckets = std::move(buckets);
-}
-
-void
-EventTimeline::eventPrefetchTallies(
-    std::size_t event_idx,
-    std::vector<std::pair<std::string, std::uint64_t>> tallies)
-{
-    if (!events_.empty() && events_.back().index == event_idx)
-        events_.back().prefetches = std::move(tallies);
+        flushBuffered();
 }
 
 void
 EventTimeline::recordStall(TimelineStall kind, Cycle start, Cycle dur)
 {
-    if (dropping_)
+    if (full())
         return;
     StallSpan span;
     span.kind = kind;
@@ -123,10 +79,8 @@ EventTimeline::recordStall(TimelineStall kind, Cycle start, Cycle dur)
     span.start = start;
     span.dur = dur;
     stalls_.push_back(span);
-    if (!events_.empty()) {
-        events_.back().stallCycles[static_cast<unsigned>(kind)] += dur;
-        ++events_.back().stallCount;
-    }
+    pending_.stallCycles[static_cast<unsigned>(kind)] += dur;
+    ++pending_.stallCount;
 }
 
 void
@@ -134,7 +88,7 @@ EventTimeline::recordEspWindow(unsigned depth,
                                std::size_t spec_event_idx, Cycle start,
                                Cycle dur)
 {
-    if (dropping_)
+    if (full())
         return;
     EspSpan span;
     span.depth = depth;
@@ -143,8 +97,7 @@ EventTimeline::recordEspWindow(unsigned depth,
     span.start = start;
     span.dur = dur;
     windows_.push_back(span);
-    if (!events_.empty())
-        ++events_.back().espWindows;
+    ++pending_.espWindows;
 }
 
 void
@@ -225,21 +178,20 @@ EventTimeline::renderHeader(JsonWriter &w) const
 }
 
 void
-EventTimeline::renderEventGroup(JsonWriter &w, const EventSpan &ev,
-                                std::size_t &stall_cursor,
-                                std::size_t &window_cursor) const
+EventTimeline::renderEventGroup(JsonWriter &w, const EventSpan &ev) const
 {
+    const RequestSpan &rec = ev.record;
     // The full event span: queue-head to retire.
     w.beginObject();
-    w.key("name").value("event " + std::to_string(ev.index));
-    sliceCommon(w, "event", ev.queued, ev.retired - ev.queued,
+    w.key("name").value("event " + std::to_string(rec.index));
+    sliceCommon(w, "event", rec.arrival, rec.retire - rec.arrival,
                 tidEvents);
     w.key("args").beginObject();
-    w.key("index").value(std::uint64_t{ev.index});
-    w.key("queued_cycle").value(std::uint64_t{ev.queued});
-    w.key("dispatch_cycle").value(std::uint64_t{ev.dispatched});
-    w.key("retire_cycle").value(std::uint64_t{ev.retired});
-    w.key("instructions").value(std::uint64_t{ev.instructions});
+    w.key("index").value(std::uint64_t{rec.index});
+    w.key("queued_cycle").value(std::uint64_t{rec.arrival});
+    w.key("dispatch_cycle").value(std::uint64_t{rec.dispatch});
+    w.key("retire_cycle").value(std::uint64_t{rec.retire});
+    w.key("instructions").value(std::uint64_t{rec.instructions});
     w.key("stall_count").value(std::uint64_t{ev.stallCount});
     w.key("esp_windows").value(std::uint64_t{ev.espWindows});
     w.key("stall_cycles").beginObject();
@@ -248,55 +200,62 @@ EventTimeline::renderEventGroup(JsonWriter &w, const EventSpan &ev,
             .value(std::uint64_t{ev.stallCycles[k]});
     }
     w.endObject();
-    if (!ev.cycleBuckets.empty()) {
-        w.key("cycle_buckets").beginObject();
-        for (const auto &[name, cycles] : ev.cycleBuckets)
-            w.key(name).value(std::uint64_t{cycles});
-        w.endObject();
+    w.key("cycle_buckets").beginObject();
+    for (unsigned b = 0; b < numCycleBuckets; ++b) {
+        w.key(cycleBucketName(static_cast<CycleBucket>(b)))
+            .value(std::uint64_t{rec.buckets[b]});
     }
-    if (!ev.prefetches.empty()) {
-        w.key("prefetches").beginObject();
-        for (const auto &[name, count] : ev.prefetches)
-            w.key(name).value(std::uint64_t{count});
-        w.endObject();
+    w.endObject();
+    w.key("prefetches").beginObject();
+    for (unsigned s = 0; s < numPrefetchSources; ++s) {
+        w.key(prefetchSourceName(static_cast<PrefetchSource>(s)))
+            .value(std::uint64_t{rec.prefetch[s].issued});
     }
+    w.endObject();
     w.endObject();
     w.endObject();
 
     // Counter track: the event's cycle-accounting breakdown as a
-    // stacked Perfetto counter sampled at dispatch time.
-    if (!ev.cycleBuckets.empty()) {
-        w.beginObject();
-        w.key("name").value("cycle buckets");
-        w.key("cat").value("accounting");
-        w.key("ph").value("C");
-        w.key("ts").value(std::uint64_t{ev.queued});
-        w.key("pid").value(tracePid);
-        w.key("tid").value(tidAccounting);
-        w.key("args").beginObject();
-        for (const auto &[name, cycles] : ev.cycleBuckets)
-            w.key(name).value(std::uint64_t{cycles});
-        w.endObject();
-        w.endObject();
+    // stacked Perfetto counter sampled at queue-head time.
+    w.beginObject();
+    w.key("name").value("cycle buckets");
+    w.key("cat").value("accounting");
+    w.key("ph").value("C");
+    w.key("ts").value(std::uint64_t{rec.arrival});
+    w.key("pid").value(tracePid);
+    w.key("tid").value(tidAccounting);
+    w.key("args").beginObject();
+    for (unsigned b = 0; b < numCycleBuckets; ++b) {
+        w.key(cycleBucketName(static_cast<CycleBucket>(b)))
+            .value(std::uint64_t{rec.buckets[b]});
     }
+    w.endObject();
+    w.endObject();
 
     // Nested execute slice: dispatch to retire (the looper-gap
     // prefix of the outer slice is the queue/dequeue overhead).
     w.beginObject();
     w.key("name").value("execute");
-    sliceCommon(w, "event", ev.dispatched, ev.retired - ev.dispatched,
+    sliceCommon(w, "event", rec.dispatch, rec.retire - rec.dispatch,
                 tidEvents);
     w.key("args")
         .beginObject()
         .key("index")
-        .value(std::uint64_t{ev.index})
+        .value(std::uint64_t{rec.index})
         .endObject();
     w.endObject();
+}
 
-    // The event's stalls and ESP windows. Spans are recorded in
-    // event order, so a cursor walk groups them without indexing.
+void
+EventTimeline::renderStallsAndWindows(JsonWriter &w,
+                                      std::size_t last_event,
+                                      std::size_t &stall_cursor,
+                                      std::size_t &window_cursor) const
+{
+    // Spans are recorded in event order, so a cursor walk groups them
+    // without indexing.
     while (stall_cursor < stalls_.size() &&
-           stalls_[stall_cursor].eventIdx <= ev.index) {
+           stalls_[stall_cursor].eventIdx <= last_event) {
         const StallSpan &st = stalls_[stall_cursor++];
         w.beginObject();
         w.key("name").value(timelineStallName(st.kind));
@@ -309,7 +268,7 @@ EventTimeline::renderEventGroup(JsonWriter &w, const EventSpan &ev,
         w.endObject();
     }
     while (window_cursor < windows_.size() &&
-           windows_[window_cursor].triggerEventIdx <= ev.index) {
+           windows_[window_cursor].triggerEventIdx <= last_event) {
         const EspSpan &sp = windows_[window_cursor++];
         w.beginObject();
         w.key("name").value("ESP-" + std::to_string(sp.depth));
@@ -326,35 +285,17 @@ EventTimeline::renderEventGroup(JsonWriter &w, const EventSpan &ev,
 }
 
 void
-EventTimeline::renderTrailing(JsonWriter &w, std::size_t stall_cursor,
-                              std::size_t window_cursor) const
+EventTimeline::renderBuffered(JsonWriter &w) const
 {
-    while (stall_cursor < stalls_.size()) {
-        const StallSpan &st = stalls_[stall_cursor++];
-        w.beginObject();
-        w.key("name").value(timelineStallName(st.kind));
-        sliceCommon(w, "stall", st.start, st.dur, tidStalls);
-        w.key("args")
-            .beginObject()
-            .key("event")
-            .value(std::uint64_t{st.eventIdx})
-            .endObject();
-        w.endObject();
+    std::size_t stall_cursor = 0;
+    std::size_t window_cursor = 0;
+    for (const EventSpan &ev : events_) {
+        renderEventGroup(w, ev);
+        renderStallsAndWindows(w, ev.record.index, stall_cursor,
+                               window_cursor);
     }
-    while (window_cursor < windows_.size()) {
-        const EspSpan &sp = windows_[window_cursor++];
-        w.beginObject();
-        w.key("name").value("ESP-" + std::to_string(sp.depth));
-        sliceCommon(w, "esp", sp.start, sp.dur, tidEsp);
-        w.key("args").beginObject();
-        w.key("depth").value(sp.depth);
-        w.key("pre_executed_event")
-            .value(std::uint64_t{sp.specEventIdx});
-        w.key("triggering_event")
-            .value(std::uint64_t{sp.triggerEventIdx});
-        w.endObject();
-        w.endObject();
-    }
+    renderStallsAndWindows(w, static_cast<std::size_t>(-1),
+                           stall_cursor, window_cursor);
 }
 
 void
@@ -411,11 +352,7 @@ EventTimeline::renderChromeTrace() const
     }
     JsonWriter w;
     renderHeader(w);
-    std::size_t stall_cursor = 0;
-    std::size_t window_cursor = 0;
-    for (const EventSpan &ev : events_)
-        renderEventGroup(w, ev, stall_cursor, window_cursor);
-    renderTrailing(w, stall_cursor, window_cursor);
+    renderBuffered(w);
     renderCounterSamples(w);
     renderFooter(w);
     return w.str();
@@ -449,18 +386,12 @@ EventTimeline::streamTo(const std::string &path)
 }
 
 bool
-EventTimeline::flushCompletedEvent()
+EventTimeline::flushBuffered()
 {
-    if (!stream_ || events_.empty())
-        return true;
     // In streaming mode the buffers hold exactly the spans recorded
-    // since the previous flush, all belonging to the buffered event
-    // (or recorded before the first one).
-    std::size_t stall_cursor = 0;
-    std::size_t window_cursor = 0;
-    renderEventGroup(stream_->writer, events_.back(), stall_cursor,
-                     window_cursor);
-    renderTrailing(stream_->writer, stall_cursor, window_cursor);
+    // since the previous flush: at most one event and its stalls and
+    // windows.
+    renderBuffered(stream_->writer);
     flushedEvents_ += events_.size();
     flushedStalls_ += stalls_.size();
     flushedWindows_ += windows_.size();
@@ -480,7 +411,7 @@ EventTimeline::closeStream()
              "events",
              eventLimit_, droppedEvents_);
     }
-    bool ok = flushCompletedEvent();
+    bool ok = flushBuffered();
     renderCounterSamples(stream_->writer);
     renderFooter(stream_->writer);
     ok = stream_->drainTo() && ok;

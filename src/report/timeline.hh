@@ -2,14 +2,19 @@
  * @file
  * Opt-in per-event timeline recorder with Chrome trace_event export.
  *
- * When attached to a run (espsim run --timeline out.json), the core
- * reports each event's queue/dispatch/retire cycles and every stall it
- * hits (I-miss bubble, ROB-head data miss, LSQ full, mispredict flush,
- * BTB miss); the ESP controller reports each pre-execution window it
- * spends inside a stall shadow. writeChromeTrace() serializes it all
- * in the Chrome trace_event JSON format, which loads directly in
- * Perfetto (https://ui.perfetto.dev) or chrome://tracing — fitting,
- * given the paper's workloads are Chromium's renderer events.
+ * When attached to a run (espsim run --timeline out.json), the timeline
+ * consumes the core's per-event record (RequestSpan, see
+ * report/spans.hh) like every other observer, and additionally hears
+ * every stall the core hits (I-miss bubble, ROB-head data miss, LSQ
+ * full, mispredict flush, BTB miss) and every pre-execution window the
+ * ESP controller spends inside a stall shadow. Stalls and windows
+ * recorded since the previous record belong to the next record. The
+ * flight recorder (report/flight_recorder.hh) replays a span ring
+ * through the same record consumer, so a live trace and a dump render
+ * their event slices with one conversion. writeChromeTrace()
+ * serializes it all in the Chrome trace_event JSON format, which loads
+ * directly in Perfetto (https://ui.perfetto.dev) or chrome://tracing —
+ * fitting, given the paper's workloads are Chromium's renderer events.
  *
  * Cycle-to-time mapping: 1 simulated cycle = 1 microsecond of trace
  * time (`ts`/`dur` are microseconds in the trace_event spec), so a
@@ -20,13 +25,13 @@
  * long runs bounded:
  *  - streamTo(path) switches to incremental export — each event's
  *    record group (slices, stalls, ESP windows) is serialized and
- *    written as soon as the next event begins, so the buffer holds at
+ *    written as soon as its record arrives, so the buffer holds at
  *    most one event's spans. Both modes produce byte-identical files.
  *  - setEventLimit(n) caps the recorded events at n; later events are
  *    dropped (and counted) instead of silently ballooning RSS, with a
  *    warning to stderr when the trace is finalized.
  *
- * Interval sampling (src/report/interval.hh) can append counter
+ * An interval series (src/report/interval.hh) can append counter
  * tracks — recordIntervalCounters() samples land on their own trace
  * row so IPC/miss-rate phases line up visually with the event slices.
  *
@@ -44,6 +49,7 @@
 #include <vector>
 
 #include "common/types.hh"
+#include "report/spans.hh"
 
 namespace espsim
 {
@@ -66,7 +72,7 @@ enum class TimelineStall : std::uint8_t
 const char *timelineStallName(TimelineStall kind);
 
 /** Records one run's per-event timing; exports Chrome trace JSON. */
-class EventTimeline
+class EventTimeline final : public SpanSink
 {
   public:
     EventTimeline();
@@ -75,29 +81,13 @@ class EventTimeline
     EventTimeline(const EventTimeline &) = delete;
     EventTimeline &operator=(const EventTimeline &) = delete;
 
-    /** Event reached the queue head (before looper overhead). */
-    void eventQueued(std::size_t event_idx, Cycle now);
-
-    /** First op of the event enters the pipeline. */
-    void eventDispatched(std::size_t event_idx, Cycle now);
-
-    /** Event fully retired. @p instructions is its op count. */
-    void eventRetired(std::size_t event_idx, Cycle now,
-                      InstCount instructions);
-
     /**
-     * Attach this event's cycle-accounting bucket deltas (name, cycle
-     * pairs). Exported both as Perfetto counter tracks and as args on
-     * the event slice, so stalls are explained visually.
+     * One retired event: its queue-head-to-retire slice, nested
+     * execute slice, cycle-bucket counter track, and the cycle-bucket
+     * and prefetch-issue args, grouped with the stalls and ESP windows
+     * recorded since the previous record.
      */
-    void eventCycleBuckets(
-        std::size_t event_idx,
-        std::vector<std::pair<std::string, Cycle>> buckets);
-
-    /** Attach this event's prefetch-issue tallies by source. */
-    void eventPrefetchTallies(
-        std::size_t event_idx,
-        std::vector<std::pair<std::string, std::uint64_t>> tallies);
+    void onSpan(const RequestSpan &span) override;
 
     /** One stall of @p kind, @p dur cycles starting at @p start. */
     void recordStall(TimelineStall kind, Cycle start, Cycle dur);
@@ -175,18 +165,13 @@ class EventTimeline
     bool writeChromeTrace(const std::string &path) const;
 
   private:
+    /** One record plus the stalls and windows attributed to it. */
     struct EventSpan
     {
-        std::size_t index = 0;
-        Cycle queued = 0;
-        Cycle dispatched = 0;
-        Cycle retired = 0;
-        InstCount instructions = 0;
+        RequestSpan record;
         Cycle stallCycles[5] = {0, 0, 0, 0, 0}; //!< per TimelineStall
         std::uint32_t stallCount = 0;
         std::uint32_t espWindows = 0;
-        std::vector<std::pair<std::string, Cycle>> cycleBuckets;
-        std::vector<std::pair<std::string, std::uint64_t>> prefetches;
     };
 
     struct StallSpan
@@ -213,16 +198,16 @@ class EventTimeline
     };
 
     std::vector<EventSpan> events_;
+    EventSpan pending_; //!< tallies for the next record
     std::vector<StallSpan> stalls_;
     std::vector<EspSpan> windows_;
     std::vector<CounterSample> counters_;
     std::string configName_;
     std::string workloadName_;
     std::string traceKind_;
-    std::size_t curEvent_ = 0;
+    std::size_t curEvent_ = 0; //!< index the next record will carry
     std::size_t eventLimit_ = 0;
     std::size_t droppedEvents_ = 0;
-    bool dropping_ = false;
 
     //!< Records already streamed out (still counted by numEvents()).
     std::size_t flushedEvents_ = 0;
@@ -232,15 +217,27 @@ class EventTimeline
     struct Stream; //!< ofstream + JsonWriter (defined in the .cc)
     std::unique_ptr<Stream> stream_;
 
+    /** The event limit is reached: later records and their stalls
+     *  and windows are dropped. */
+    bool
+    full() const
+    {
+        return eventLimit_ > 0 && numEvents() >= eventLimit_;
+    }
+
     void renderHeader(JsonWriter &w) const;
     void renderFooter(JsonWriter &w) const;
-    void renderEventGroup(JsonWriter &w, const EventSpan &ev,
-                          std::size_t &stall_cursor,
-                          std::size_t &window_cursor) const;
-    void renderTrailing(JsonWriter &w, std::size_t stall_cursor,
-                        std::size_t window_cursor) const;
+    /** Every buffered event group, then any stalls and windows
+     *  recorded after the last buffered record. */
+    void renderBuffered(JsonWriter &w) const;
+    void renderEventGroup(JsonWriter &w, const EventSpan &ev) const;
+    /** Stall and window slices from the cursors up to (and
+     *  including) those attributed to event @p last_event. */
+    void renderStallsAndWindows(JsonWriter &w, std::size_t last_event,
+                                std::size_t &stall_cursor,
+                                std::size_t &window_cursor) const;
     void renderCounterSamples(JsonWriter &w) const;
-    bool flushCompletedEvent();
+    bool flushBuffered();
 };
 
 } // namespace espsim

@@ -4,7 +4,7 @@
 #include <chrono>
 #include <cstdio>
 
-#include "common/log.hh"
+#include "common/logging.hh"
 #include "report/telemetry.hh"
 
 namespace espsim

@@ -5,7 +5,6 @@
 
 #include <mutex>
 
-#include "common/log.hh"
 #include "common/logging.hh"
 #include "common/version.hh"
 #include "cpu/ooo_core.hh"

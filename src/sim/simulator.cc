@@ -26,14 +26,6 @@ Simulator::run(const Workload &workload) const
 }
 
 SimResult
-Simulator::run(const Workload &workload, EventTimeline *timeline) const
-{
-    RunInstrumentation inst;
-    inst.timeline = timeline;
-    return run(workload, inst);
-}
-
-SimResult
 Simulator::run(const Workload &workload,
                const RunInstrumentation &inst) const
 {
@@ -98,24 +90,24 @@ Simulator::run(const Workload &workload,
             esp->setTimeline(timeline);
     }
 
-    // Interval sampling: constructed after every pre-run counter is
-    // registered (the sampler freezes the counter name set now; the
-    // post-run handler/derived registrations never enter the series).
-    std::unique_ptr<IntervalSampler> sampler;
+    // Counter snapshotters are constructed after every pre-run
+    // counter is registered: the name set and the baseline freeze
+    // now, so the post-run handler/derived registrations never enter
+    // a series or a stream. The interval series is the first
+    // difference of its snapshotter's snapshots.
+    IntervalSeries series;
+    std::unique_ptr<TelemetrySnapshotter> intervals;
     if (inst.interval.enabled()) {
-        sampler = std::make_unique<IntervalSampler>(reg, inst.interval);
-        sampler->setTimeline(timeline);
-        core.setSampler(sampler.get());
+        intervals = std::make_unique<TelemetrySnapshotter>(
+            reg, inst.interval, &series);
+        core.addObserver(intervals.get());
     }
 
     if (inst.pacer)
         core.setPacer(inst.pacer);
-    if (inst.spans)
-        core.setSpanSink(inst.spans);
+    core.addObserver(inst.spans);
 
-    // Live telemetry: same construction point as the interval sampler
-    // (the counter name set freezes here), same retire-boundary
-    // observation discipline. Attached whenever a sink or a plane is
+    // Live telemetry is attached whenever a sink or a plane is
     // present — the plane alone still carries liveness progress for
     // the stall watchdog even if no period is configured.
     std::unique_ptr<TelemetrySnapshotter> telemetry;
@@ -130,7 +122,7 @@ Simulator::run(const Workload &workload,
         telemetry = std::make_unique<TelemetrySnapshotter>(
             reg, inst.telemetry, std::move(tinfo),
             inst.telemetryStream, inst.telemetryPlane);
-        core.setTelemetry(telemetry.get());
+        core.addObserver(telemetry.get());
     }
 
     {
@@ -141,12 +133,13 @@ Simulator::run(const Workload &workload,
         mem.finalizePrefetchLifecycles();
     }
 
-    if (sampler) {
+    if (intervals) {
         // Close the series after the lifecycle finalize so the
         // trailing interval telescopes to the end-of-run aggregates.
-        sampler->finalize(core.stats().cycles, core.stats().events);
+        intervals->finalize(core.stats().cycles, core.stats().events);
+        if (timeline)
+            recordIntervalTracks(series, *timeline);
         if (inst.intervalSeries) {
-            IntervalSeries series = sampler->take();
             series.configName = config_.name;
             series.workloadName = workload.name();
             series.configHash = configsHash({config_});

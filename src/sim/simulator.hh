@@ -113,15 +113,6 @@ class Simulator
     /** Simulate the workload from a cold machine state. */
     SimResult run(const Workload &workload) const;
 
-    /**
-     * Same, recording a per-event timeline into @p timeline (may be
-     * nullptr). The recorder receives queue/dispatch/retire cycles and
-     * the stall breakdown per event, plus every ESP pre-execution
-     * window; export it with EventTimeline::writeChromeTrace().
-     */
-    SimResult run(const Workload &workload,
-                  EventTimeline *timeline) const;
-
     /** Same, with the full instrumentation surface attached. */
     SimResult run(const Workload &workload,
                   const RunInstrumentation &inst) const;

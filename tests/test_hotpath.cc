@@ -272,15 +272,24 @@ TEST(HotPath, SteadyStateLoopAllocatesNothing)
     // Warm one run so every pool/arena/ring reaches its settled
     // capacity, then require the second, identical run to stay off
     // the heap modulo the per-run setup (machine construction) —
-    // measured by differencing against a third run.
+    // measured by differencing against a third run. A span collector
+    // rides along so the core builds and delivers its per-event
+    // record on every retire.
     const auto workload = SyntheticGenerator(tinyProfile()).generate();
     const SimConfig config = SimConfig::espFull(true);
-    (void)Simulator(config).run(*workload);
+    const auto observed_run = [&workload, &config] {
+        SpanCollector collector(SpanCollectorConfig{});
+        RunInstrumentation inst;
+        inst.spans = &collector;
+        (void)Simulator(config).run(*workload, inst);
+        return collector.spansRecorded();
+    };
+    EXPECT_EQ(observed_run(), workload->numEvents());
     const std::uint64_t before_second = allocCount();
-    (void)Simulator(config).run(*workload);
+    (void)observed_run();
     const std::uint64_t second = allocCount() - before_second;
     const std::uint64_t before_third = allocCount();
-    (void)Simulator(config).run(*workload);
+    (void)observed_run();
     const std::uint64_t third = allocCount() - before_third;
     // Identical warmed runs must allocate identically: any steady-
     // state leak into the hot loop shows up as run-to-run drift.

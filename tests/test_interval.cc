@@ -1,13 +1,16 @@
 /**
  * @file
- * Tests of the interval sampling engine: exact delta closure against
- * the end-of-run aggregates, byte-identical series regardless of
- * concurrent sibling runs, the rendered artifact, the host profiler's
- * span accounting, and SampleStat percentile edge cases.
+ * Tests of the interval series: exact delta closure against the
+ * end-of-run aggregates, agreement with a telemetry stream on the same
+ * grid, byte-identical series regardless of concurrent sibling runs,
+ * the rendered artifact, the host profiler's span accounting, and
+ * SampleStat percentile edge cases.
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <thread>
 
 #include "common/histogram.hh"
@@ -15,6 +18,7 @@
 #include "report/host_profile.hh"
 #include "report/interval.hh"
 #include "report/json_reader.hh"
+#include "report/telemetry.hh"
 #include "sim/simulator.hh"
 #include "workload/generator.hh"
 
@@ -77,6 +81,65 @@ TEST(IntervalSampler, DeltasTelescopeToFinalSnapshotExactly)
     for (std::size_t i = 0; i < acc.size(); ++i)
         EXPECT_EQ(acc[i], series.finalValues[i]) << series.names[i];
     EXPECT_EQ(series.intervals.back().endCycle, series.finalCycle);
+}
+
+TEST(IntervalSeries, DeltasAreFirstDifferencesOfTelemetrySnapshots)
+{
+    // One run arms the interval series and a telemetry stream on the
+    // same cycle grid: both read the same snapshots, so each interval
+    // is the difference of consecutive stream snapshots (the first
+    // against the series baseline).
+    const auto workload = SyntheticGenerator(tinyProfile()).generate();
+    RunInstrumentation inst;
+    inst.interval.sampleCycles = 5'000;
+    IntervalSeries series;
+    inst.intervalSeries = &series;
+    inst.telemetry.periodCycles = 5'000;
+    std::string captured;
+    TelemetryStream stream;
+    stream.captureTo(&captured);
+    inst.telemetryStream = &stream;
+    (void)Simulator(SimConfig::espFull(true)).run(*workload, inst);
+
+    std::vector<std::unique_ptr<JsonValue>> lines;
+    std::size_t start = 0;
+    while (start < captured.size()) {
+        const std::size_t end = captured.find('\n', start);
+        lines.push_back(parseJson(captured.substr(start, end - start)));
+        ASSERT_TRUE(lines.back());
+        start = end + 1;
+    }
+    ASSERT_GE(lines.size(), 3u); // header, a grid snapshot, final
+    const JsonValue &names = lines.front()->at("names");
+    ASSERT_EQ(names.array.size(), series.names.size());
+    for (std::size_t i = 0; i < series.names.size(); ++i)
+        EXPECT_EQ(names.array[i].string, series.names[i]);
+
+    // Grid snapshots pair with grid intervals; a kept trailing
+    // interval pairs with the final snapshot.
+    const std::size_t snapshots = lines.size() - 1;
+    ASSERT_GE(series.intervals.size(), snapshots - 1);
+    ASSERT_LE(series.intervals.size(), snapshots);
+    std::vector<double> prev = series.baseline;
+    for (std::size_t k = 0; k < series.intervals.size(); ++k) {
+        const IntervalPoint &point = series.intervals[k];
+        const JsonValue &snap = *lines[1 + k];
+        EXPECT_EQ(snap.at("cycle").number,
+                  static_cast<double>(point.endCycle));
+        EXPECT_EQ(snap.at("events").number,
+                  static_cast<double>(point.endEvents));
+        const std::vector<JsonValue> &values = snap.at("values").array;
+        ASSERT_EQ(values.size(), prev.size());
+        for (std::size_t i = 0; i < prev.size(); ++i) {
+            EXPECT_EQ(point.deltas[i], values[i].number - prev[i])
+                << series.names[i] << " interval " << k;
+            prev[i] = values[i].number;
+        }
+    }
+    const std::vector<JsonValue> &last = lines.back()->at("values").array;
+    ASSERT_EQ(last.size(), series.finalValues.size());
+    for (std::size_t i = 0; i < last.size(); ++i)
+        EXPECT_EQ(last[i].number, series.finalValues[i]);
 }
 
 TEST(IntervalSampler, EventPeriodSamplesEveryRetire)

@@ -353,8 +353,10 @@ TEST(Timeline, RecordsEventsAndExportsValidChromeTrace)
 {
     const auto workload = SyntheticGenerator(tinyProfile()).generate();
     EventTimeline timeline;
-    const SimResult r = Simulator(SimConfig::espFull(true))
-                            .run(*workload, &timeline);
+    RunInstrumentation inst;
+    inst.timeline = &timeline;
+    const SimResult r =
+        Simulator(SimConfig::espFull(true)).run(*workload, inst);
 
     // One span per simulated event; ESP ran, so windows exist.
     EXPECT_EQ(timeline.numEvents(), workload->numEvents());
@@ -418,7 +420,9 @@ TEST(Timeline, BaselineRunHasNoEspWindows)
 {
     const auto workload = SyntheticGenerator(tinyProfile()).generate();
     EventTimeline timeline;
-    Simulator(SimConfig::baseline()).run(*workload, &timeline);
+    RunInstrumentation inst;
+    inst.timeline = &timeline;
+    Simulator(SimConfig::baseline()).run(*workload, inst);
     EXPECT_EQ(timeline.numEvents(), workload->numEvents());
     EXPECT_EQ(timeline.numEspWindows(), 0u);
 }
@@ -427,8 +431,10 @@ TEST(Timeline, TimelineDoesNotPerturbResults)
 {
     const auto workload = SyntheticGenerator(tinyProfile()).generate();
     EventTimeline timeline;
+    RunInstrumentation inst;
+    inst.timeline = &timeline;
     const SimResult with =
-        Simulator(SimConfig::espFull(true)).run(*workload, &timeline);
+        Simulator(SimConfig::espFull(true)).run(*workload, inst);
     const SimResult without =
         Simulator(SimConfig::espFull(true)).run(*workload);
     EXPECT_EQ(with.cycles, without.cycles);

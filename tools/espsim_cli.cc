@@ -55,7 +55,7 @@
 #include <chrono>
 
 #include "check/fuzz.hh"
-#include "common/log.hh"
+#include "common/logging.hh"
 #include "common/table.hh"
 #include "common/version.hh"
 #include "report/artifact.hh"

@@ -1,6 +1,7 @@
 # Produce the artifacts the artifact_validate / diff ctests check: a
-# reduced suite sweep (one app, two configs), a per-event timeline,
-# the same sweep at --jobs 1 and --jobs 8 (the determinism gate diffs
+# reduced suite sweep (one app, two configs), a per-event timeline, an
+# interval series, one run with every record observer armed, the same
+# sweep at --jobs 1 and --jobs 8 (the determinism gate diffs
 # them), and the golden-gate candidate sweep, all via the espsim CLI.
 # Invoked as:
 #   cmake -DESPSIM_CLI=<path> -DARTIFACT_DIR=<dir> -P this-file
@@ -51,6 +52,22 @@ execute_process(
 if(NOT intervals_rc EQUAL 0)
     message(FATAL_ERROR
         "espsim run --sample-cycles failed (${intervals_rc})")
+endif()
+
+# Every record observer at once: the timeline, the interval series and
+# the telemetry stream all consume the core's one per-event record in
+# a single run; artifact_validate checks all three outputs.
+execute_process(
+    COMMAND ${ESPSIM_CLI} run --app amazon --config ESP+NL
+        --timeline ${ARTIFACT_DIR}/all_observers.trace.json
+        --sample-cycles 50000 --sample-events 4
+        --json ${ARTIFACT_DIR}/all_observers_intervals.json
+        --telemetry ${ARTIFACT_DIR}/all_observers.jsonl
+        --telemetry-period 20000
+    RESULT_VARIABLE observers_rc)
+if(NOT observers_rc EQUAL 0)
+    message(FATAL_ERROR
+        "espsim run with every observer failed (${observers_rc})")
 endif()
 
 # The same golden-gate matrix replayed through the streaming workload
