@@ -1,7 +1,8 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulator's hot components:
- * cache lookups, branch prediction, workload generation, list
+ * cache lookups, branch prediction, workload generation (browser
+ * events and memcached requests, with an ns_per_op counter), list
  * appends, and end-to-end simulation throughput. These guard the
  * simulator's own performance (the figures above re-run millions of
  * simulated instructions).
@@ -24,6 +25,7 @@
 #include "cache/hierarchy.hh"
 #include "common/rng.hh"
 #include "esp/lists.hh"
+#include "server/profile.hh"
 #include "sim/simulator.hh"
 #include "workload/generator.hh"
 
@@ -95,20 +97,51 @@ BM_ListAppend(benchmark::State &state)
 }
 BENCHMARK(BM_ListAppend);
 
+/** Time per generated op (printed with an SI prefix, e.g. "48ns"). */
+benchmark::Counter
+perOpTime(std::size_t ops)
+{
+    return benchmark::Counter(static_cast<double>(ops),
+                              benchmark::Counter::kIsRate |
+                                  benchmark::Counter::kInvert);
+}
+
 void
 BM_GenerateEvent(benchmark::State &state)
 {
+    // Ids never repeat, so events keep reaching code the generator's
+    // decode memo has not seen yet, as in a real run; repeating a few
+    // ids would time a fully warm memo.
     SyntheticGenerator gen(AppProfile::testProfile());
     std::uint64_t id = 0;
     std::size_t ops = 0;
     for (auto _ : state) {
-        const EventTrace trace = gen.generateEvent(id++ % 24);
+        const EventTrace trace = gen.generateEvent(id++);
         ops += trace.size();
         benchmark::DoNotOptimize(trace.size());
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(ops));
+    state.counters["ns_per_op"] = perOpTime(ops);
 }
 BENCHMARK(BM_GenerateEvent);
+
+void
+BM_GenerateMemcachedRequest(benchmark::State &state)
+{
+    // Shaped generation (Zipf key, op-kind length class, value-object
+    // overlay) through the memcached request source.
+    const ServerTraceSource source(ServerProfile::memcached());
+    std::uint64_t id = 0;
+    std::size_t ops = 0;
+    for (auto _ : state) {
+        const EventTrace trace = source.makeEvent(id++);
+        ops += trace.size();
+        benchmark::DoNotOptimize(trace.size());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(ops));
+    state.counters["ns_per_op"] = perOpTime(ops);
+}
+BENCHMARK(BM_GenerateMemcachedRequest);
 
 void
 BM_SimulateBaseline(benchmark::State &state)

@@ -94,6 +94,18 @@ class AddrMap
         return true;
     }
 
+    /** The value for @p key, inserted value-initialised when absent
+     *  (like std::unordered_map::operator[]). Stable only until the
+     *  next mutation. */
+    V &
+    operator[](Addr key)
+    {
+        if (V *v = find(key))
+            return *v;
+        insertOrAssign(key, V{});
+        return *find(key);
+    }
+
     /** Remove @p key; returns true when it was present. */
     bool
     erase(Addr key)

@@ -1,11 +1,13 @@
 #include "workload/generator.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
-#include <unordered_map>
+#include <cstdlib>
 #include <vector>
 
+#include "common/addr_map.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 
@@ -27,8 +29,29 @@ mix(std::uint64_t a, std::uint64_t b = 0x9e3779b97f4a7c15ULL,
     return z ^ (z >> 31);
 }
 
+/** Bytes per instruction: every PC the walk visits is 4-aligned. */
+constexpr Addr instBytes = 4;
+
+/** Function entries are quantised to 64 B boundaries. */
+constexpr Addr entryStride = 64;
+
+/** PCs of the warm app code image (the decode memo's first part). */
+std::size_t
+warmAppPcs(const AppProfile &p)
+{
+    return std::size_t{p.codeRegionPool} * p.blocksPerRegion *
+        (blockBytes / instBytes);
+}
+
+/** PCs of the shared runtime (the decode memo's second part). */
+std::size_t
+runtimePcs(const AppProfile &p)
+{
+    return std::size_t{p.sharedCodeBlocks} * (blockBytes / instBytes);
+}
+
 /** Behaviour classes of conditional-branch PCs. */
-enum class BranchClass
+enum class BranchClass : std::uint8_t
 {
     Biased,     //!< almost always one direction
     Correlated, //!< function of recent outcome history
@@ -36,13 +59,132 @@ enum class BranchClass
 };
 
 /** Static kinds of block-terminator instructions. */
-enum class TermKind
+enum class TermKind : std::uint8_t
 {
     Call,
     Return,
     Indirect,
     CondForward,
     CondBackward, //!< loop branch
+};
+
+/**
+ * Everything static about one PC, packed into the decode memo's 32-bit
+ * entry. Bit 0 marks a decoded record, so an all-zero word means "not
+ * decoded yet".
+ *
+ *   bit 0        decoded
+ *   bit 1        block terminator
+ *   plain op     bits 2-3 OpType (IntAlu, FpAlu, Load or Store),
+ *                bits 4-8 dest, bits 9-13 srcB
+ *   terminator   bits 2-4 TermKind, then per kind:
+ *     CondForward   bits 5-6 BranchClass, bit 7 biased direction,
+ *                   bit 8 correlated parity, bits 9-13 target distance
+ *     CondBackward  bits 5-8 trip count, bits 9-13 target distance
+ *     Call          bits 5-31 destination in entryStride units above
+ *                   layout::sharedCodeBase (reaches 2^33 bytes; a
+ *                   MicroOp target is 32 bits)
+ *
+ * Target distances count instructions.
+ */
+class StaticOp
+{
+    static_assert(static_cast<int>(OpType::IntAlu) == 0 &&
+                      static_cast<int>(OpType::FpAlu) == 1 &&
+                      static_cast<int>(OpType::Load) == 2 &&
+                      static_cast<int>(OpType::Store) == 3,
+                  "plain op types must fit the record's 2-bit field");
+
+  public:
+    explicit StaticOp(std::uint32_t bits) : bits_(bits) {}
+
+    static StaticOp
+    plain(OpType type, std::uint64_t dest, std::uint64_t src_b)
+    {
+        return StaticOp(decodedBit | static_cast<std::uint32_t>(type) << 2 |
+                        static_cast<std::uint32_t>(dest) << 4 |
+                        static_cast<std::uint32_t>(src_b) << 9);
+    }
+
+    static StaticOp
+    terminator(TermKind kind, std::uint32_t fields = 0)
+    {
+        return StaticOp(decodedBit | termBit |
+                        static_cast<std::uint32_t>(kind) << 2 |
+                        fields << 5);
+    }
+
+    std::uint32_t bits() const { return bits_; }
+    bool decoded() const { return bits_ & decodedBit; }
+    bool terminates() const { return bits_ & termBit; }
+
+    // --- plain ops
+    OpType type() const { return OpType((bits_ >> 2) & 3); }
+    std::uint8_t dest() const { return (bits_ >> 4) & 31; }
+    std::uint8_t srcB() const { return (bits_ >> 9) & 31; }
+
+    // --- terminators
+    TermKind kind() const { return TermKind((bits_ >> 2) & 7); }
+    BranchClass
+    branchClass() const
+    {
+        return BranchClass((bits_ >> 5) & 3);
+    }
+    bool biasedDirection() const { return (bits_ >> 7) & 1; }
+    unsigned correlatedParity() const { return (bits_ >> 8) & 1; }
+    unsigned tripCount() const { return (bits_ >> 5) & 15; }
+    Addr distance() const { return (bits_ >> 9) & 31; }
+
+    Addr
+    callTarget() const
+    {
+        return layout::sharedCodeBase + Addr{bits_ >> 5} * entryStride;
+    }
+
+  private:
+    static constexpr std::uint32_t decodedBit = 1;
+    static constexpr std::uint32_t termBit = 2;
+
+    std::uint32_t bits_;
+};
+
+/**
+ * Return-address stack bounded at the profile's maxCallDepth. A call
+ * at the bound overwrites the oldest frame (matching RAS overflow), so
+ * the decode at a call PC is always a call. Push and pop are O(1).
+ */
+class CallStack
+{
+  public:
+    explicit CallStack(unsigned capacity)
+        : frames_(capacity), capacity_(capacity)
+    {
+    }
+
+    unsigned depth() const { return depth_; }
+    bool empty() const { return depth_ == 0; }
+
+    void
+    push(Addr ret)
+    {
+        frames_[top_] = ret;
+        top_ = top_ + 1 == capacity_ ? 0 : top_ + 1;
+        depth_ = std::min(depth_ + 1, capacity_);
+    }
+
+    Addr
+    pop()
+    {
+        top_ = top_ == 0 ? capacity_ - 1 : top_ - 1;
+        --depth_;
+        return frames_[top_];
+    }
+
+  private:
+    std::vector<Addr> frames_;
+    unsigned capacity_;
+    unsigned top_ = 0; //!< slot the next push writes
+    unsigned depth_ = 0;
 };
 
 /** In-progress state of one event-trace random walk. */
@@ -52,7 +194,7 @@ struct Walk
     OpSequence out;
     std::size_t targetLen = 0;
     Addr pc = 0;
-    std::vector<Addr> callStack;
+    CallStack callStack;
     std::uint64_t histReg = 0; //!< recent conditional outcomes
     Addr argObject = 0;
     std::uint64_t eventId = 0;
@@ -65,48 +207,40 @@ struct Walk
     std::size_t keyBytes = 0;
     double keyFrac = 0.0;
     std::uint8_t lastDest = noReg;
-    unsigned opsSinceTerm = 0;
-    std::unordered_map<Addr, unsigned> loopCounts;
+    AddrMap<unsigned> loopCounts; //!< visits per loop-branch PC
 
-    explicit Walk(std::uint64_t seed) : rng(seed) {}
-
-    unsigned depth() const
+    Walk(std::uint64_t seed, unsigned max_call_depth)
+        : rng(seed), callStack(max_call_depth)
     {
-        return static_cast<unsigned>(callStack.size());
     }
 };
-
-} // namespace
-
-SyntheticGenerator::SyntheticGenerator(AppProfile profile)
-    : profile_(std::move(profile))
-{
-    if (profile_.numEvents == 0)
-        fatal("profile '%s' has zero events", profile_.name.c_str());
-    if (profile_.blocksPerRegion == 0 || profile_.codeRegionPool == 0)
-        fatal("profile '%s' has an empty code image",
-              profile_.name.c_str());
-}
-
-namespace
-{
 
 /**
  * Generator internals bound to one profile.
  *
  * The *static program* is a pure function of (PC, seed): whether a PC
  * is a block terminator, its instruction type, a branch's kind/class/
- * target, a call's destination — all derived by hashing the PC. Only
- * the *dynamics* vary per visit: conditional outcomes, indirect-target
- * selection (per-event phase), memory addresses, loop exits. Branch
- * predictors therefore see stable, learnable static branches exactly
- * as they would in real code, while the footprint and path coverage
- * vary event to event.
+ * target, a call's destination — all derived by hashing the PC in one
+ * place, decode(). Only the *dynamics* vary per visit: conditional
+ * outcomes, indirect-target selection (per-event phase), memory
+ * addresses, loop exits. Branch predictors therefore see stable,
+ * learnable static branches exactly as they would in real code, while
+ * the footprint and path coverage vary event to event.
+ *
+ * decode() runs once per PC of the warm code image (the app code pool
+ * and the shared runtime): its record is memoized in the generator's
+ * table. PCs outside it (cold code) are decoded on every visit.
  */
 class WalkEngine
 {
   public:
-    explicit WalkEngine(const AppProfile &p) : p_(p) {}
+    /** @p memo is the generator's decode table; null (its allocation
+     *  failed) decodes every visit. */
+    WalkEngine(const AppProfile &p, std::uint32_t *memo)
+        : p_(p), memo_(memo), appPcs_(memo ? warmAppPcs(p) : 0),
+          runtimePcs_(memo ? runtimePcs(p) : 0)
+    {
+    }
 
     /** Run a walk until it reaches its target length. Every step
      *  emits exactly one op, so the lanes are sized once up front. */
@@ -138,9 +272,9 @@ class WalkEngine
 
   private:
     const AppProfile &p_;
-
-    /** Function entries are quantised to 128 B boundaries. */
-    static constexpr Addr entryStride = 64;
+    std::uint32_t *memo_;
+    std::size_t appPcs_;
+    std::size_t runtimePcs_;
 
     Addr
     regionBase(std::uint64_t slot) const
@@ -200,53 +334,6 @@ class WalkEngine
 
     // --- static decode ----------------------------------------------
 
-    bool
-    isTerminator(const Walk &st, Addr pc) const
-    {
-        (void)st;
-        // Every 24th instruction slot terminates unconditionally so
-        // straight-line runs are bounded; this is a *static* property
-        // (the decode at a PC never depends on how it was reached).
-        if ((pc >> 2) % 24 == 23)
-            return true;
-        const double p_term = 1.0 / (p_.avgBasicBlockLen + 1.0);
-        return static_cast<double>(mix(pc, p_.seed, 0x7e12) % 16384) <
-            16384.0 * p_term;
-    }
-
-    TermKind
-    termKind(Addr pc) const
-    {
-        const double u = static_cast<double>(
-                             mix(pc, p_.seed, 0x7e57) % 16384) /
-            16384.0;
-        double acc = p_.callFrac;
-        if (u < acc)
-            return TermKind::Call;
-        acc += p_.returnFrac;
-        if (u < acc)
-            return TermKind::Return;
-        acc += p_.indirectFrac;
-        if (u < acc)
-            return TermKind::Indirect;
-        acc += p_.loopFrac;
-        if (u < acc)
-            return TermKind::CondBackward;
-        return TermKind::CondForward;
-    }
-
-    BranchClass
-    branchClass(Addr pc) const
-    {
-        const std::uint64_t h = mix(pc, p_.seed, 0xbc);
-        const double u = static_cast<double>(h % 10000) / 10000.0;
-        if (u < p_.biasedBranchFrac)
-            return BranchClass::Biased;
-        if (u < p_.biasedBranchFrac + p_.correlatedBranchFrac)
-            return BranchClass::Correlated;
-        return BranchClass::Random;
-    }
-
     /**
      * Fixed direct-call destination of the call at @p pc. Code is laid
      * out with call locality: a call site targets a function within a
@@ -255,9 +342,8 @@ class WalkEngine
      * touched footprint grows with event length.
      */
     Addr
-    callTarget(const Walk &st, Addr pc) const
+    callTarget(Addr pc) const
     {
-        (void)st;
         const std::uint64_t h = mix(pc, p_.seed, 0xca11);
         const double u = static_cast<double>(h % 10000) / 10000.0;
         if (u < p_.sharedCodeFraction)
@@ -282,6 +368,110 @@ class WalkEngine
             slot = (h >> 8) % p_.codeRegionPool;
         }
         return entryAt(slot, h >> 24);
+    }
+
+    /**
+     * The static decode of the instruction at @p pc: everything about
+     * it that does not depend on how the walk reached it.
+     */
+    StaticOp
+    decode(Addr pc) const
+    {
+        // Every 24th instruction slot terminates unconditionally so
+        // straight-line runs are bounded.
+        const double p_term = 1.0 / (p_.avgBasicBlockLen + 1.0);
+        const bool terminator = (pc >> 2) % 24 == 23 ||
+            static_cast<double>(mix(pc, p_.seed, 0x7e12) % 16384) <
+                16384.0 * p_term;
+
+        if (!terminator) {
+            const std::uint64_t h = mix(pc, p_.seed, 0x0b);
+            const double u = static_cast<double>(h % 10000) / 10000.0;
+            if (u < p_.loadFrac)
+                return StaticOp::plain(OpType::Load, (h >> 16) % 24, 0);
+            if (u < p_.loadFrac + p_.storeFrac)
+                return StaticOp::plain(OpType::Store, 0,
+                                       (h >> 20) % numArchRegs);
+            const double fp_cut =
+                p_.loadFrac + p_.storeFrac +
+                p_.fpFrac * (1.0 - p_.loadFrac - p_.storeFrac);
+            return StaticOp::plain(u < fp_cut ? OpType::FpAlu
+                                              : OpType::IntAlu,
+                                   (h >> 16) % numArchRegs,
+                                   (h >> 24) % numArchRegs);
+        }
+
+        const double u = static_cast<double>(
+                             mix(pc, p_.seed, 0x7e57) % 16384) /
+            16384.0;
+        double acc = p_.callFrac;
+        if (u < acc) {
+            const Addr units =
+                (callTarget(pc) - layout::sharedCodeBase) / entryStride;
+            if (units >> 27)
+                panic("call target of %#llx beyond the decode record",
+                      static_cast<unsigned long long>(pc));
+            return StaticOp::terminator(
+                TermKind::Call, static_cast<std::uint32_t>(units));
+        }
+        acc += p_.returnFrac;
+        if (u < acc)
+            return StaticOp::terminator(TermKind::Return);
+        acc += p_.indirectFrac;
+        if (u < acc)
+            return StaticOp::terminator(TermKind::Indirect);
+        acc += p_.loopFrac;
+        if (u < acc) {
+            // Loop branch: per-PC-constant trip count and body size.
+            const std::uint64_t h = mix(pc, p_.seed, 0x100b);
+            const auto trips = static_cast<std::uint32_t>(2 + h % 13);
+            const auto back = static_cast<std::uint32_t>(4 + (h >> 8) % 28);
+            return StaticOp::terminator(TermKind::CondBackward,
+                                        trips | back << 4);
+        }
+
+        const double uc = static_cast<double>(
+                              mix(pc, p_.seed, 0xbc) % 10000) /
+            10000.0;
+        std::uint32_t fields;
+        if (uc < p_.biasedBranchFrac) {
+            fields = static_cast<std::uint32_t>(BranchClass::Biased) |
+                static_cast<std::uint32_t>(
+                    (mix(pc, p_.seed, 0xd1) >> 8) & 1)
+                    << 2;
+        } else if (uc < p_.biasedBranchFrac + p_.correlatedBranchFrac) {
+            fields = static_cast<std::uint32_t>(BranchClass::Correlated) |
+                static_cast<std::uint32_t>(
+                    (mix(pc, p_.seed, 0xc0) >> 9) & 1)
+                    << 3;
+        } else {
+            fields = static_cast<std::uint32_t>(BranchClass::Random);
+        }
+        const auto dist =
+            static_cast<std::uint32_t>(5 + mix(pc, p_.seed, 0x5c1) % 26);
+        return StaticOp::terminator(TermKind::CondForward,
+                                    fields | dist << 4);
+    }
+
+    /** decode(@p pc), memoized inside the table's coverage. */
+    StaticOp
+    staticOp(Addr pc) const
+    {
+        const Addr app = (pc - layout::appCodeBase) / instBytes;
+        const Addr runtime = (pc - layout::sharedCodeBase) / instBytes;
+        std::uint32_t *entry = app < appPcs_ ? memo_ + app
+            : runtime < runtimePcs_          ? memo_ + appPcs_ + runtime
+                                             : nullptr;
+        if (!entry)
+            return decode(pc);
+        // Racing threads store the same pure value: relaxed suffices.
+        std::atomic_ref<std::uint32_t> slot(*entry);
+        StaticOp op(slot.load(std::memory_order_relaxed));
+        if (!op.decoded()) {
+            op = decode(pc);
+            slot.store(op.bits(), std::memory_order_relaxed);
+        }
+        return op;
     }
 
     /**
@@ -333,7 +523,6 @@ class WalkEngine
             window * span + (mix(hw >> 4, pass, 0x9a) % span);
         return entryAt(slot, mix(hw >> 24, pass, 0x9b));
     }
-
     // --- dynamics ----------------------------------------------------
 
     /** Effective address for the next load or store. */
@@ -393,28 +582,26 @@ class WalkEngine
                 (st.rng.next() % (Addr{1} << 30));
         }
         // Stack frame of the current call depth.
-        return layout::stackBase - st.depth() * 192 -
+        return layout::stackBase - st.callStack.depth() * 192 -
             8 * st.rng.below(24);
     }
 
-    /** Outcome of the forward conditional branch at @p pc. */
+    /** Outcome of the forward conditional branch decoded as @p br. */
     bool
-    conditionalOutcome(Walk &st, Addr pc) const
+    conditionalOutcome(Walk &st, StaticOp br) const
     {
         bool outcome;
-        switch (branchClass(pc)) {
+        switch (br.branchClass()) {
           case BranchClass::Biased: {
-            const bool dir = (mix(pc, p_.seed, 0xd1) >> 8) & 1;
+            const bool dir = br.biasedDirection();
             outcome = st.rng.chance(p_.branchBias) ? dir : !dir;
             break;
           }
-          case BranchClass::Correlated: {
-            const auto h = mix(pc, p_.seed, 0xc0);
+          case BranchClass::Correlated:
             outcome = (std::popcount(st.histReg & 0x1b) +
-                       static_cast<int>((h >> 9) & 1)) &
+                       static_cast<int>(br.correlatedParity())) &
                 1;
             break;
-          }
           case BranchClass::Random:
           default:
             outcome = st.rng.chance(0.5);
@@ -427,44 +614,36 @@ class WalkEngine
     // --- emission ----------------------------------------------------
 
     void
-    emitPlainOp(Walk &st) const
+    emitPlainOp(Walk &st, StaticOp decoded) const
     {
         MicroOp op;
         op.pc = st.pc;
-        const std::uint64_t h = mix(st.pc, p_.seed, 0x0b);
-        const double u = static_cast<double>(h % 10000) / 10000.0;
-        if (u < p_.loadFrac) {
-            op.setType(OpType::Load);
+        op.setType(decoded.type());
+        if (op.isLoad()) {
             op.memAddr = dataAddress(st);
             st.lastDataBlock = blockAlign(op.memAddr);
-            op.dest = static_cast<std::uint8_t>((h >> 16) % 24);
+            op.dest = decoded.dest();
             op.srcA = st.rng.chance(0.30) && st.lastDest != noReg
                 ? st.lastDest
                 : static_cast<std::uint8_t>(st.rng.below(numArchRegs));
             st.lastDest = op.dest;
-        } else if (u < p_.loadFrac + p_.storeFrac) {
-            op.setType(OpType::Store);
+        } else if (op.isStore()) {
             op.memAddr = dataAddress(st);
             st.lastDataBlock = blockAlign(op.memAddr);
             op.srcA = st.rng.chance(0.40) && st.lastDest != noReg
                 ? st.lastDest
                 : static_cast<std::uint8_t>(st.rng.below(numArchRegs));
-            op.srcB = static_cast<std::uint8_t>((h >> 20) % numArchRegs);
+            op.srcB = decoded.srcB();
         } else {
-            const double fp_cut =
-                p_.loadFrac + p_.storeFrac +
-                p_.fpFrac * (1.0 - p_.loadFrac - p_.storeFrac);
-            op.setType(u < fp_cut ? OpType::FpAlu : OpType::IntAlu);
-            op.dest = static_cast<std::uint8_t>((h >> 16) % numArchRegs);
+            op.dest = decoded.dest();
             op.srcA = st.rng.chance(0.45) && st.lastDest != noReg
                 ? st.lastDest
                 : static_cast<std::uint8_t>(st.rng.below(numArchRegs));
-            op.srcB = static_cast<std::uint8_t>((h >> 24) % numArchRegs);
+            op.srcB = decoded.srcB();
             st.lastDest = op.dest;
         }
         st.out.push_back(op);
-        st.pc += 4;
-        ++st.opsSinceTerm;
+        st.pc += instBytes;
     }
 
     void
@@ -479,8 +658,7 @@ class WalkEngine
             ? st.lastDest
             : static_cast<std::uint8_t>(st.rng.below(numArchRegs));
         st.out.push_back(op);
-        st.pc = taken ? target : st.pc + 4;
-        st.opsSinceTerm = 0;
+        st.pc = taken ? target : st.pc + instBytes;
     }
 
     /** Emit one instruction (static decode at the walk's PC). */
@@ -488,35 +666,23 @@ class WalkEngine
     step(Walk &st) const
     {
         const Addr pc = st.pc;
-        if (!isTerminator(st, pc)) {
-            emitPlainOp(st);
+        const StaticOp decoded = staticOp(pc);
+        if (!decoded.terminates()) {
+            emitPlainOp(st, decoded);
             return;
         }
 
-        const TermKind kind = termKind(pc);
-        switch (kind) {
-          case TermKind::Call: {
-            // Bounded stack: beyond the modeled depth the oldest frame
-            // is dropped (matching RAS overflow) so the decode at this
-            // PC is always a call.
-            const Addr callee = callTarget(st, pc);
-            if (st.depth() >= p_.maxCallDepth)
-                st.callStack.erase(st.callStack.begin());
-            st.callStack.push_back(pc + 4);
-            emitControl(st, OpType::Call, true, callee);
+        switch (decoded.kind()) {
+          case TermKind::Call:
+            st.callStack.push(pc + instBytes);
+            emitControl(st, OpType::Call, true, decoded.callTarget());
             break;
-          }
           case TermKind::Return: {
             // A return with an empty stack is the handler's final
             // return into the dispatcher: still a return instruction,
             // its target just isn't a recorded frame.
-            Addr ret;
-            if (st.callStack.empty()) {
-                ret = indirectTarget(st, pc);
-            } else {
-                ret = st.callStack.back();
-                st.callStack.pop_back();
-            }
+            const Addr ret = st.callStack.empty() ? indirectTarget(st, pc)
+                                                  : st.callStack.pop();
             emitControl(st, OpType::Return, true, ret);
             break;
           }
@@ -525,21 +691,17 @@ class WalkEngine
                         indirectTarget(st, pc));
             break;
           case TermKind::CondBackward: {
-            // Loop branch: per-PC-constant trip count.
-            const std::uint64_t h = mix(pc, p_.seed, 0x100b);
-            const unsigned trips = 2 + static_cast<unsigned>(h % 13);
             const unsigned count = ++st.loopCounts[pc];
-            const bool taken = count % trips != 0;
-            const Addr target = pc - 4 * (4 + (h >> 8) % 28);
-            emitControl(st, OpType::BranchCond, taken, target);
+            const bool taken = count % decoded.tripCount() != 0;
+            emitControl(st, OpType::BranchCond, taken,
+                        pc - instBytes * decoded.distance());
             st.histReg = (st.histReg << 1) | (taken ? 1 : 0);
             break;
           }
           case TermKind::CondForward: {
-            const bool taken = conditionalOutcome(st, pc);
-            const std::uint64_t h = mix(pc, p_.seed, 0x5c1);
-            const Addr target = pc + 4 + 4 * (5 + h % 26);
-            emitControl(st, OpType::BranchCond, taken, target);
+            const bool taken = conditionalOutcome(st, decoded);
+            emitControl(st, OpType::BranchCond, taken,
+                        pc + instBytes * (1 + decoded.distance()));
             break;
           }
         }
@@ -547,6 +709,30 @@ class WalkEngine
 };
 
 } // namespace
+
+void
+SyntheticGenerator::FreeDeleter::operator()(std::uint32_t *table) const
+{
+    std::free(table);
+}
+
+SyntheticGenerator::SyntheticGenerator(AppProfile profile)
+    : profile_(std::move(profile))
+{
+    if (profile_.numEvents == 0)
+        fatal("profile '%s' has zero events", profile_.name.c_str());
+    if (profile_.blocksPerRegion == 0 || profile_.codeRegionPool == 0)
+        fatal("profile '%s' has an empty code image",
+              profile_.name.c_str());
+    if (profile_.maxCallDepth == 0)
+        fatal("profile '%s' has a zero call depth", profile_.name.c_str());
+    // calloc, not a zero-filled vector: fresh zero pages are mapped on
+    // first touch, so construction stays O(1) and only the code a run
+    // reaches costs memory.
+    decoded_.reset(static_cast<std::uint32_t *>(std::calloc(
+        warmAppPcs(profile_) + runtimePcs(profile_),
+        sizeof(std::uint32_t))));
+}
 
 EventTrace
 SyntheticGenerator::generateEvent(std::uint64_t id) const
@@ -569,8 +755,8 @@ SyntheticGenerator::generateShaped(std::uint64_t id,
     EventTrace trace;
     trace.id = id;
 
-    WalkEngine engine(p);
-    Walk st(mix(p.seed, id, 0xe7e47));
+    WalkEngine engine(p, decoded_.get());
+    Walk st(mix(p.seed, id, 0xe7e47), p.maxCallDepth);
 
     st.eventId = id;
     if (shape) {
@@ -623,7 +809,7 @@ SyntheticGenerator::generateShaped(std::uint64_t id,
         // value: a fresh walk from the divergence PC with its own
         // random stream. Often shorter than the real remainder (the
         // paper's ~2% of forked pre-executions that fail early).
-        Walk bad(mix(p.seed, id, 0xbad));
+        Walk bad(mix(p.seed, id, 0xbad), p.maxCallDepth);
         bad.eventId = id;
         bad.handler = st.handler;
         bad.eventPhase = (st.eventPhase + 17) % 64;

@@ -108,7 +108,22 @@ class SyntheticGenerator
     std::vector<AddrRange> warmSet() const;
 
   private:
+    /** Releases the calloc'd decode memo. */
+    struct FreeDeleter
+    {
+        void operator()(std::uint32_t *table) const;
+    };
+
     AppProfile profile_;
+    /**
+     * Static-decode memo: one packed 32-bit record per PC of the warm
+     * app code image, then one per PC of the shared runtime (layout
+     * and coverage in generator.cc). Zero means "not decoded yet".
+     * Entries are pure functions of (PC, seed), filled with relaxed
+     * atomic stores by const generation calls, which may run on
+     * several threads at once.
+     */
+    std::unique_ptr<std::uint32_t[], FreeDeleter> decoded_;
 
     EventTrace generateShaped(std::uint64_t id,
                               const EventShape *shape) const;

@@ -1,17 +1,22 @@
 /**
  * @file
  * Tests for the synthetic workload generator: bit-exact determinism,
- * structural properties of generated traces (instruction mix, PC
- * consistency of the static program, call/return pairing), the
- * inter-event dependence model, and the warm set.
+ * pinned output fingerprints (browser and server profiles),
+ * generation from one generator on several threads, structural
+ * properties of generated traces (instruction mix, PC consistency of
+ * the static program, call/return pairing), the inter-event
+ * dependence model, and the warm set.
  */
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <thread>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
+#include "server/profile.hh"
 #include "workload/app_profile.hh"
 #include "workload/generator.hh"
 
@@ -29,6 +34,89 @@ sameOp(const MicroOp &a, const MicroOp &b)
         a.dest == b.dest;
 }
 
+/**
+ * FNV-1a over 64-bit words of every lane and metadata field of a
+ * stream of events, plus the coverage facts the pinned sets must
+ * exercise: dependent events (diverged tails) and PCs in cold code,
+ * outside the warm app code image and the shared runtime.
+ */
+class Fingerprint
+{
+  public:
+    explicit Fingerprint(const AppProfile &p)
+        : sharedEnd_(layout::sharedCodeBase +
+                     Addr{p.sharedCodeBlocks} * blockBytes),
+          warmEnd_(layout::appCodeBase +
+                   Addr{p.codeRegionPool} * p.blocksPerRegion *
+                       blockBytes)
+    {
+    }
+
+    void
+    add(const EventTrace &t)
+    {
+        word(t.id);
+        word(t.handlerType);
+        word(t.handlerPc);
+        word(t.argObjectAddr);
+        word(t.divergencePoint);
+        lanes(t.ops);
+        lanes(t.divergedTail);
+        if (!t.independent())
+            ++dependent;
+    }
+
+    std::uint64_t value() const { return h_; }
+
+    std::size_t dependent = 0; //!< events with a diverged tail
+    std::size_t coldPcs = 0;   //!< ops outside the warm code image
+
+  private:
+    Addr sharedEnd_;
+    Addr warmEnd_;
+    std::uint64_t h_ = 0xcbf29ce484222325ULL;
+
+    void word(std::uint64_t v) { h_ = (h_ ^ v) * 0x100000001b3ULL; }
+
+    void
+    lanes(const OpSequence &ops)
+    {
+        word(ops.size());
+        for (std::size_t i = 0; i < ops.size(); ++i) {
+            word(ops.pc(i));
+            word(ops.memAddr(i));
+            word(ops.metaLane(i));
+            const Addr pc = ops.pc(i);
+            const bool shared =
+                pc >= layout::sharedCodeBase && pc < sharedEnd_;
+            const bool warm = pc >= layout::appCodeBase && pc < warmEnd_;
+            if (!shared && !warm)
+                ++coldPcs;
+        }
+    }
+};
+
+/** Fingerprint of events [0, n) of @p gen. */
+Fingerprint
+fingerprintEvents(const SyntheticGenerator &gen, std::uint64_t n)
+{
+    Fingerprint fp(gen.profile());
+    for (std::uint64_t id = 0; id < n; ++id)
+        fp.add(gen.generateEvent(id));
+    return fp;
+}
+
+/** Fingerprint of requests [0, n) of the server profile @p sp. */
+Fingerprint
+fingerprintRequests(const ServerProfile &sp, std::uint64_t n)
+{
+    const ServerTraceSource source(sp);
+    Fingerprint fp(sp.app);
+    for (std::uint64_t id = 0; id < n; ++id)
+        fp.add(source.makeEvent(id));
+    return fp;
+}
+
 } // namespace
 
 TEST(Generator, EventRegeneratesBitIdentically)
@@ -42,6 +130,71 @@ TEST(Generator, EventRegeneratesBitIdentically)
             ASSERT_TRUE(sameOp(a.ops[i], b.ops[i])) << "op " << i;
         ASSERT_EQ(a.divergencePoint, b.divergencePoint);
         ASSERT_EQ(a.divergedTail.size(), b.divergedTail.size());
+    }
+}
+
+// The generator's output is pinned: any change to a lane or a
+// metadata field of these events (an rng draw reordered, a static
+// property decoded differently) changes the fingerprint. Same-id
+// determinism alone would not catch a changed trace.
+TEST(Generator, OutputFingerprintIsPinned)
+{
+    const Fingerprint test = fingerprintEvents(
+        SyntheticGenerator(AppProfile::testProfile()),
+        AppProfile::testProfile().numEvents);
+    EXPECT_EQ(test.value(), 0x0719b40c533a1976ULL);
+
+    const Fingerprint amazon = fingerprintEvents(
+        SyntheticGenerator(AppProfile::byName("amazon")), 6);
+    EXPECT_EQ(amazon.value(), 0xda05873022b11aaeULL);
+
+    const Fingerprint memcached =
+        fingerprintRequests(ServerProfile::memcached(), 2000);
+    EXPECT_EQ(memcached.value(), 0x5110a3c87e1ded55ULL);
+
+    const Fingerprint http =
+        fingerprintRequests(ServerProfile::httpRouter(), 2000);
+    EXPECT_EQ(http.value(), 0x14b80a5b42287990ULL);
+
+    // The pinned set exercises diverged tails and cold code.
+    EXPECT_GT(test.dependent + amazon.dependent + memcached.dependent +
+                  http.dependent,
+              0u);
+    EXPECT_GT(test.coldPcs, 0u);
+    EXPECT_GT(amazon.coldPcs, 0u);
+    EXPECT_GT(memcached.coldPcs, 0u);
+    EXPECT_GT(http.coldPcs, 0u);
+}
+
+TEST(Generator, ConcurrentGenerationMatchesSerial)
+{
+    // Several threads generate interleaved ids from one shared
+    // generator whose static decode is still cold, so they race to
+    // decode the same PCs; every trace must equal serial generation.
+    AppProfile p = AppProfile::testProfile();
+    p.numEvents = 64;
+    p.dependencyRate = 0.25;
+    const SyntheticGenerator shared(p);
+    constexpr unsigned numThreads = 4;
+    std::vector<std::uint64_t> got(p.numEvents);
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < numThreads; ++t) {
+        threads.emplace_back([&shared, &got, &p, t] {
+            for (std::uint64_t id = t; id < p.numEvents; id += numThreads) {
+                Fingerprint fp(p);
+                fp.add(shared.generateEvent(id));
+                got[id] = fp.value();
+            }
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+
+    const SyntheticGenerator serial(p);
+    for (std::uint64_t id = 0; id < p.numEvents; ++id) {
+        Fingerprint fp(p);
+        fp.add(serial.generateEvent(id));
+        EXPECT_EQ(got[id], fp.value()) << "event " << id;
     }
 }
 
@@ -279,4 +432,12 @@ TEST(GeneratorDeathTest, ZeroEventsFatal)
     AppProfile p = AppProfile::testProfile();
     p.numEvents = 0;
     EXPECT_DEATH(SyntheticGenerator{p}, "zero events");
+}
+
+TEST(GeneratorDeathTest, ZeroCallDepthFatal)
+{
+    // The walk's call stack is a ring of maxCallDepth frames.
+    AppProfile p = AppProfile::testProfile();
+    p.maxCallDepth = 0;
+    EXPECT_DEATH(SyntheticGenerator{p}, "zero call depth");
 }

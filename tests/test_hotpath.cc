@@ -191,6 +191,22 @@ TEST(AddrMap, ClearRetainsCapacityAndReuses)
     EXPECT_EQ(*map.find(0x1000), 7);
 }
 
+TEST(AddrMap, SubscriptCountsLikeUnorderedMap)
+{
+    // The generator's per-walk loop counters: operator[] inserts a
+    // zero on first use and returns the stored value afterwards,
+    // across growth.
+    AddrMap<unsigned> counts(8);
+    for (unsigned round = 1; round <= 3; ++round) {
+        for (Addr pc = 0x1000; pc < 0x1000 + 4 * 40; pc += 4)
+            EXPECT_EQ(++counts[pc], round);
+    }
+    EXPECT_EQ(counts.size(), 40u);
+    EXPECT_TRUE(counts.insertOrAssign(0x9000, 5));
+    EXPECT_FALSE(counts.insertOrAssign(0x9000, 6));
+    EXPECT_EQ(counts[0x9000], 6u);
+}
+
 // --------------------------------------------------------------------
 // TableIndex (predictor / prefetcher / cache set indexing)
 // --------------------------------------------------------------------
