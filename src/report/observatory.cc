@@ -1,11 +1,11 @@
 #include "report/observatory.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <tuple>
 
@@ -52,6 +52,12 @@ addMetric(ObservatoryRun &run, std::string name, double value)
  * measured the same workload shape — trending a 100k-event serve run
  * against a 1M-event one would compare raw cycle counts across
  * scales.
+ *
+ * A bench run's `--repeat` is part of it: `suite_wall_ms` sums every
+ * repeat plus generation, so runs with different repeat counts are
+ * not comparable. The repeat-5 BENCH_8fd3d74-dirty.json reads +18.5%
+ * suite wall against the repeat-3 seed although every one of its
+ * cells is 4–54% faster; it stays a one-run group.
  */
 std::string
 workloadFingerprint(const JsonValue &doc, const std::string &schema)
@@ -77,19 +83,14 @@ workloadFingerprint(const JsonValue &doc, const std::string &schema)
                       numberField(manifest, "events", 0));
         fp = stringField(manifest, "profile") + buf + " " +
              stringField(arrival, "kind");
-    } else { // bench
-        std::vector<std::string> apps;
+    } else { // bench: the sorted set of apps its cells cover
+        std::set<std::string> apps;
         const JsonValue *cells = doc.find("cells");
         if (cells != nullptr && cells->isArray()) {
-            for (const JsonValue &cell : cells->array) {
-                const std::string app = stringField(&cell, "app");
-                if (!app.empty() &&
-                    std::find(apps.begin(), apps.end(), app) ==
-                        apps.end())
-                    apps.push_back(app);
-            }
+            for (const JsonValue &cell : cells->array)
+                apps.insert(stringField(&cell, "app"));
         }
-        std::sort(apps.begin(), apps.end());
+        apps.erase("");
         fp = "apps=";
         for (const std::string &app : apps) {
             if (fp.back() != '=')
@@ -176,6 +177,112 @@ extractBenchMetrics(const JsonValue &doc, ObservatoryRun &run)
     }
 }
 
+/**
+ * The files @p dir contributes, oldest first. A directory with an
+ * INDEX contributes exactly the names it lists, in that order (blank
+ * lines and `#` comments ignored); one without contributes its *.json
+ * files sorted by name, which records no age, so @p indexed is false.
+ * Unusable INDEX entries and *.json files the INDEX leaves out land in
+ * @p skipped. False when @p dir cannot be listed.
+ */
+bool
+listRuns(const fs::path &dir, std::vector<fs::path> &files,
+         std::vector<std::string> &skipped, bool &indexed)
+{
+    std::error_code ec;
+    fs::directory_iterator it(dir, ec);
+    if (ec) {
+        skipped.push_back(dir.string() + " (" + ec.message() + ")");
+        return false;
+    }
+    std::set<std::string> jsons; // sorted by name
+    for (const fs::directory_entry &entry : it) {
+        if (entry.path().extension() == ".json" &&
+            entry.is_regular_file(ec))
+            jsons.insert(entry.path().filename().string());
+    }
+
+    std::ifstream index(dir / "INDEX");
+    indexed = static_cast<bool>(index);
+    if (!indexed) {
+        for (const std::string &name : jsons)
+            files.push_back(dir / name);
+        return true;
+    }
+    std::set<std::string> listed;
+    for (std::string line; std::getline(index, line);) {
+        const std::size_t begin = line.find_first_not_of(" \t\r");
+        if (begin == std::string::npos || line[begin] == '#')
+            continue;
+        const std::string name = line.substr(
+            begin, line.find_last_not_of(" \t\r") - begin + 1);
+        const char *problem = nullptr;
+        if (name.find('/') != std::string::npos ||
+            name.find("..") != std::string::npos)
+            problem = "unsafe INDEX entry";
+        else if (!listed.insert(name).second)
+            problem = "duplicate INDEX entry";
+        else if (!fs::is_regular_file(dir / name, ec))
+            problem = "listed in INDEX, missing";
+        if (problem == nullptr)
+            files.push_back(dir / name);
+        else
+            skipped.push_back((dir / "INDEX").string() + ": " + name +
+                              " (" + problem + ")");
+    }
+    for (const std::string &name : jsons) {
+        if (listed.count(name) == 0)
+            skipped.push_back((dir / name).string() +
+                              " (not in INDEX)");
+    }
+    return true;
+}
+
+/** Parse one artifact into a run, or note in `skipped` why not. */
+void
+ingestRun(const fs::path &path, ObservatoryReport &report)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream text;
+    text << in.rdbuf();
+    std::string err;
+    const auto doc = parseJson(text.str(), &err);
+    if (!doc) {
+        report.skipped.push_back(path.string() + " (parse error)");
+        return;
+    }
+    const std::string schema = stringField(doc.get(), "schema");
+    const bool known = schema == "espsim-suite-artifact" ||
+                       schema == "espsim-latency-artifact" ||
+                       schema == "espsim-bench-artifact";
+    if (!known) {
+        report.skipped.push_back(
+            path.string() + " (schema " +
+            (schema.empty() ? "none" : schema) + ")");
+        return;
+    }
+    ObservatoryRun run;
+    run.path = path.string();
+    run.schema = schema;
+    run.workload = workloadFingerprint(*doc, schema);
+    const JsonValue *manifest = doc->find("manifest");
+    run.configHash = stringField(manifest, "config_hash");
+    run.toolVersion = stringField(manifest, "tool_version");
+    run.buildType = stringField(manifest, "build_type");
+    if (manifest != nullptr) {
+        const JsonValue *health = manifest->find("health");
+        run.degraded = health != nullptr &&
+                       stringField(health, "status") == "degraded";
+    }
+    if (schema == "espsim-suite-artifact")
+        extractSuiteMetrics(*doc, run);
+    else if (schema == "espsim-latency-artifact")
+        extractLatencyMetrics(*doc, run);
+    else
+        extractBenchMetrics(*doc, run);
+    report.runs.push_back(std::move(run));
+}
+
 } // namespace
 
 bool
@@ -194,90 +301,25 @@ buildObservatoryReport(const std::vector<std::string> &dirs,
     ObservatoryReport report;
     report.tolerance = tolerance;
 
+    // Per run, its directory if that has no INDEX (else empty): two
+    // runs of one group from such a directory have no recorded order.
+    std::vector<std::string> unindexedDir;
     for (const std::string &dir : dirs) {
-        std::error_code ec;
-        fs::directory_iterator it(dir, ec);
-        if (ec) {
-            report.skipped.push_back(dir + " (" + ec.message() + ")");
+        std::vector<fs::path> files;
+        bool indexed = false;
+        if (!listRuns(dir, files, report.skipped, indexed)) {
+            ++report.unreadableDirs;
             continue;
         }
-        for (const fs::directory_entry &entry : it) {
-            if (!entry.is_regular_file(ec))
-                continue;
-            const fs::path &path = entry.path();
-            if (path.extension() != ".json")
-                continue;
-            std::ifstream in(path, std::ios::binary);
-            std::ostringstream text;
-            text << in.rdbuf();
-            std::string err;
-            const auto doc = parseJson(text.str(), &err);
-            if (!doc) {
-                report.skipped.push_back(path.string() +
-                                         " (parse error)");
-                continue;
-            }
-            const std::string schema = stringField(doc.get(),
-                                                   "schema");
-            const bool known =
-                schema == "espsim-suite-artifact" ||
-                schema == "espsim-latency-artifact" ||
-                schema == "espsim-bench-artifact";
-            if (!known) {
-                report.skipped.push_back(path.string() + " (schema " +
-                                         (schema.empty() ? "none"
-                                                         : schema) +
-                                         ")");
-                continue;
-            }
-            ObservatoryRun run;
-            run.path = path.string();
-            run.schema = schema;
-            run.workload = workloadFingerprint(*doc, schema);
-            const JsonValue *manifest = doc->find("manifest");
-            run.configHash = stringField(manifest, "config_hash");
-            run.toolVersion = stringField(manifest, "tool_version");
-            run.buildType = stringField(manifest, "build_type");
-            if (manifest != nullptr) {
-                const JsonValue *health = manifest->find("health");
-                run.degraded =
-                    health != nullptr &&
-                    stringField(health, "status") == "degraded";
-            }
-            const auto mtime = fs::last_write_time(path, ec);
-            if (!ec)
-                run.mtimeNs = std::chrono::duration_cast<
-                                  std::chrono::nanoseconds>(
-                                  mtime.time_since_epoch())
-                                  .count();
-            if (schema == "espsim-suite-artifact")
-                extractSuiteMetrics(*doc, run);
-            else if (schema == "espsim-latency-artifact")
-                extractLatencyMetrics(*doc, run);
-            else
-                extractBenchMetrics(*doc, run);
-            report.runs.push_back(std::move(run));
-        }
+        for (const fs::path &path : files)
+            ingestRun(path, report);
+        unindexedDir.resize(report.runs.size(), indexed ? "" : dir);
     }
-
-    // Stable global order (oldest first, path as tiebreak) so the
-    // rendered report is deterministic for a given file set.
-    std::vector<std::size_t> order(report.runs.size());
-    for (std::size_t i = 0; i < order.size(); ++i)
-        order[i] = i;
-    std::sort(order.begin(), order.end(),
-              [&](std::size_t a, std::size_t b) {
-                  const ObservatoryRun &ra = report.runs[a];
-                  const ObservatoryRun &rb = report.runs[b];
-                  if (ra.mtimeNs != rb.mtimeNs)
-                      return ra.mtimeNs < rb.mtimeNs;
-                  return ra.path < rb.path;
-              });
 
     std::map<std::tuple<std::string, std::string, std::string>,
              ObservatoryGroup>
         groups;
-    for (const std::size_t idx : order) {
+    for (std::size_t idx = 0; idx < report.runs.size(); ++idx) {
         const ObservatoryRun &run = report.runs[idx];
         ObservatoryGroup &group =
             groups[{run.schema, run.configHash, run.workload}];
@@ -288,7 +330,16 @@ buildObservatoryReport(const std::vector<std::string> &dirs,
     }
 
     for (auto &[key, group] : groups) {
-        if (group.runIndices.size() >= 2) {
+        // A directory's runs are contiguous in `runs`, so two of them
+        // in one group are neighbours in runIndices.
+        for (std::size_t i = 1; i < group.runIndices.size(); ++i) {
+            const std::string &dir = unindexedDir[group.runIndices[i]];
+            if (!dir.empty() &&
+                dir == unindexedDir[group.runIndices[i - 1]])
+                group.unorderedDir = dir;
+        }
+        if (group.runIndices.size() >= 2 &&
+            group.unorderedDir.empty()) {
             const ObservatoryRun &first =
                 report.runs[group.runIndices.front()];
             const ObservatoryRun &last =
@@ -354,6 +405,12 @@ renderObservatoryMarkdown(const ObservatoryReport &report)
                 << " | " << (run.degraded ? "**yes**" : "no")
                 << " |\n";
         }
+        if (!group.unorderedDir.empty()) {
+            out << "\n(no order — no trend: list these runs oldest "
+                   "first in an INDEX in "
+                << group.unorderedDir << ")\n";
+            continue;
+        }
         if (group.trends.empty()) {
             out << "\n(single run — no trend)\n";
             continue;
@@ -381,7 +438,7 @@ renderObservatoryJson(const ObservatoryReport &report)
     JsonWriter w;
     w.beginObject();
     w.key("schema").value("espsim-observatory-report");
-    w.key("format_version").value(std::uint64_t{1});
+    w.key("format_version").value(std::uint64_t{2});
     w.key("manifest").beginObject();
     w.key("source").value("espsim report");
     w.key("tool_version").value(versionString());
@@ -411,6 +468,7 @@ renderObservatoryJson(const ObservatoryReport &report)
         w.key("schema").value(group.schema);
         w.key("config_hash").value(group.configHash);
         w.key("workload").value(group.workload);
+        w.key("ordered").value(group.unorderedDir.empty());
         w.key("runs").beginArray();
         for (const std::size_t idx : group.runIndices)
             w.value(std::uint64_t{idx});

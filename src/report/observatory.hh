@@ -13,10 +13,15 @@
  *    for suites and bench sweeps) are comparable; trending a 100k-
  *    event run against a 1M-event run would compare raw cycle counts
  *    across scales;
- *  - within a group, runs are ordered (oldest → newest) by file
- *    modification time — the in-tree `espsim report` is offline and
- *    dependency-free; tools/observatory.py layers git-ancestry
- *    ordering on top for commit-accurate trajectories;
+ *  - runs are ordered oldest → newest by a committed fact, never by
+ *    file mtime or git history: a directory with an `INDEX` file
+ *    contributes exactly the names it lists, in that order (one per
+ *    line; blank lines and `#` comments ignored), and directories keep
+ *    the order they are given in (history first). A directory without
+ *    an INDEX contributes its *.json files sorted by name, which
+ *    records no age, so a group holding two of them gets no trend.
+ *    Adding a bench baseline means committing the file and appending
+ *    its name to bench/baselines/INDEX;
  *  - per run a small set of headline metrics is extracted (mean IPC
  *    and cycles per config from suites, p50/p99 total latency per
  *    config from latency artifacts, Mcycles/s per cell and suite wall
@@ -33,7 +38,7 @@
 #ifndef ESPSIM_REPORT_OBSERVATORY_HH
 #define ESPSIM_REPORT_OBSERVATORY_HH
 
-#include <cstdint>
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -49,8 +54,7 @@ struct ObservatoryRun
     std::string workload;   //!< workload fingerprint (join key)
     std::string toolVersion;
     std::string buildType;
-    std::int64_t mtimeNs = 0; //!< ordering key (file mtime)
-    bool degraded = false;    //!< manifest.health says degraded
+    bool degraded = false; //!< manifest.health says degraded
     std::vector<std::string> metricNames;
     std::vector<double> metricValues;
 };
@@ -73,6 +77,9 @@ struct ObservatoryGroup
     std::string configHash;
     std::string workload;
     std::vector<std::size_t> runIndices; //!< into report.runs, ordered
+    //! Directory without an INDEX holding 2+ of the runs (their order
+    //! is unknown, so no trends); empty when the runs are ordered.
+    std::string unorderedDir;
     std::vector<ObservatoryTrend> trends;
 };
 
@@ -81,15 +88,16 @@ struct ObservatoryReport
     std::vector<ObservatoryRun> runs;
     std::vector<ObservatoryGroup> groups;
     std::vector<std::string> skipped; //!< unreadable/foreign files
+    std::size_t unreadableDirs = 0;   //!< dirs that could not be listed
     double tolerance = 0.10;
     std::size_t regressions = 0; //!< trends flagged across all groups
 };
 
 /**
- * Ingest every *.json under @p dirs (non-recursive per directory) and
- * build the trajectory with regression flags at @p tolerance.
- * Unreadable or non-espsim files land in `skipped`, never fail the
- * scan.
+ * Ingest the runs of @p dirs (non-recursive, in INDEX or file-name
+ * order, see the file comment) and build the trajectory with
+ * regression flags at @p tolerance. Unreadable, unlisted or
+ * non-espsim files land in `skipped`, never fail the scan.
  */
 ObservatoryReport buildObservatoryReport(
     const std::vector<std::string> &dirs, double tolerance);

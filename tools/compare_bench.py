@@ -20,25 +20,26 @@ Usage:
     compare_bench.py BASELINE.json CANDIDATE.json [--rel-tol F]
         [--min-wall-ms MS] [--ignore-config-hash]
     compare_bench.py BASELINES_DIR/ CANDIDATE.json [...]
-        [--repo PATH] [--print-baseline]
+        [--print-baseline]
 
 When BASELINE is a *directory* (typically bench/baselines/), the
-baseline is auto-selected from its BENCH_*.json files: each
-artifact's manifest.tool_version names the commit it was built from,
-and the nearest ancestor of the current HEAD wins (fewest commits
-between them).  Versions the repo cannot resolve — foreign clones,
-`-dirty` builds whose base commit is gone — fall back to newest
-file mtime.  --print-baseline prints the chosen path and exits 0,
-so CI logs record which baseline gated the run.
+baseline is the last entry of its INDEX file, which lists the
+committed baselines oldest first (one file name per line; blank lines
+and `#` comments ignored).  Adding a baseline means committing the
+file and appending its name to the INDEX.  An entry that is unsafe
+(`/`, `..`), repeated, missing or not a bench artifact is skipped with
+a note on stderr, as `espsim report` skips it.  --print-baseline
+prints the chosen path and exits 0, so CI logs record which baseline
+gated the run.
 
 Exit code 0 when no shared cell regressed, 1 on a regression or a
-config-hash mismatch, 2 when either artifact cannot be loaded (or an
-empty baselines directory).
+config-hash mismatch, 2 when either artifact cannot be loaded (or a
+baselines directory whose INDEX is missing or lists no usable
+baseline).
 """
 
 import argparse
 import json
-import subprocess
 import sys
 from pathlib import Path
 
@@ -54,66 +55,43 @@ def load_bench(path):
     return doc
 
 
-def commit_distance(repo, version, head="HEAD"):
-    """Commits between the version's commit and HEAD, or None.
+def select_baseline(directory):
+    """The newest baseline: the last usable entry of ``directory``/INDEX.
 
-    Only *ancestors* of HEAD qualify (a baseline from a side branch
-    would gate against work HEAD never contained).  A trailing
-    ``-dirty`` marker is stripped: the artifact was built from that
-    commit plus local edits, still the best anchor available.
+    Entries are skipped, with a note on stderr, by the rules
+    `espsim report` applies to the same file: a name containing ``/``
+    or ``..``, a repeated name, and a file that is missing or not a
+    loadable bench artifact.  Returns (path, reason).  Raises
+    ValueError when the INDEX is missing or lists no usable entry.
     """
-    name = version.removesuffix("-dirty")
-    if not name:
-        return None
-
-    def git(*args):
-        try:
-            out = subprocess.run(["git", "-C", str(repo), *args],
-                                 capture_output=True, text=True,
-                                 timeout=30, check=False)
-        except (OSError, subprocess.TimeoutExpired):
-            return None
-        return out.stdout.strip() if out.returncode == 0 else None
-
-    if git("merge-base", "--is-ancestor", name, head) is None:
-        return None
-    count = git("rev-list", "--count", f"{name}..{head}")
+    index = Path(directory) / "INDEX"
     try:
-        return int(count)
-    except (TypeError, ValueError):
-        return None
-
-
-def select_baseline(directory, repo):
-    """Pick the nearest-ancestor BENCH_*.json in ``directory``.
-
-    Returns (path, reason).  Raises ValueError when the directory has
-    no loadable bench artifact.
-    """
-    candidates = []
-    for f in sorted(Path(directory).glob("BENCH_*.json")):
-        try:
-            doc = load_bench(f)
-        except (OSError, ValueError, json.JSONDecodeError):
-            continue
-        version = doc.get("manifest", {}).get("tool_version", "")
-        candidates.append(
-            (f, version, commit_distance(repo, version),
-             f.stat().st_mtime))
-    if not candidates:
-        raise ValueError(
-            f"{directory}: no loadable BENCH_*.json baseline")
-    ancestors = [c for c in candidates if c[2] is not None]
-    if ancestors:
-        path, version, distance, _ = min(
-            ancestors, key=lambda c: (c[2], c[0].name))
-        return path, (f"nearest ancestor {version} "
-                      f"({distance} commit(s) behind HEAD)")
-    # No version resolves in this repo: the newest file is the best
-    # guess (fresh checkouts of release tarballs land here).
-    path, version, _, _ = max(candidates,
-                              key=lambda c: (c[3], c[0].name))
-    return path, f"newest by mtime ({version or 'no version'})"
+        lines = index.read_text(encoding="utf-8").splitlines()
+    except OSError as err:
+        raise ValueError(f"{index}: {err.strerror}") from err
+    names = [name for name in map(str.strip, lines)
+             if name and not name.startswith("#")]
+    seen, usable = set(), []
+    for name in names:
+        path = Path(directory) / name
+        if "/" in name or ".." in name:
+            problem = "unsafe INDEX entry"
+        elif name in seen:
+            problem = "duplicate INDEX entry"
+        else:
+            seen.add(name)
+            try:
+                usable.append((path, load_bench(path)))
+                continue
+            except (OSError, ValueError,
+                    json.JSONDecodeError) as err:
+                problem = f"unusable: {err}"
+        print(f"skipped {index}: {name} ({problem})", file=sys.stderr)
+    if not usable:
+        raise ValueError(f"{index}: lists no usable baseline")
+    path, doc = usable[-1]
+    version = doc.get("manifest", {}).get("tool_version", "")
+    return path, f"last INDEX entry, {version or 'no version'}"
 
 
 def slowdown(base, cand):
@@ -134,9 +112,6 @@ def main(argv):
                              "artifact (default 20 ms)")
     parser.add_argument("--ignore-config-hash", action="store_true",
                         help="compare despite different config sets")
-    parser.add_argument("--repo", default=".",
-                        help="git repository used to rank a baselines "
-                             "directory by commit ancestry")
     parser.add_argument("--print-baseline", action="store_true",
                         help="print the selected baseline path and "
                              "exit (directory mode dry run)")
@@ -145,7 +120,7 @@ def main(argv):
     baseline = args.baseline
     if Path(baseline).is_dir():
         try:
-            baseline, reason = select_baseline(baseline, args.repo)
+            baseline, reason = select_baseline(baseline)
         except ValueError as err:
             print(f"error: {err}", file=sys.stderr)
             return 2

@@ -951,27 +951,40 @@ cmdFuzz(const std::map<std::string, std::string> &flags)
  * `espsim report` — the cross-run observatory. Ingests a directory of
  * espsim artifacts (plus, optionally, the committed bench baselines),
  * joins them by config hash, and prints the perf trajectory with
- * regression flags. Exit 0 when clean, 1 when any trend regressed
- * beyond tolerance. tools/observatory.py is the git-aware sibling.
+ * regression flags. Runs follow each directory's INDEX (see
+ * report/observatory.hh), so adding a baseline means committing it and
+ * appending its name to bench/baselines/INDEX. Exit 0 when clean, 1
+ * when any trend regressed beyond tolerance, 2 when a directory cannot
+ * be read or no artifact was ingested.
  */
 int
 cmdReport(const std::map<std::string, std::string> &flags)
 {
+    // History first, so a group's last run is the newest one.
     std::vector<std::string> dirs;
+    if (auto it = flags.find("bench"); it != flags.end() &&
+        it->second != "1")
+        dirs.push_back(it->second);
     if (auto it = flags.find("dir"); it != flags.end() &&
         it->second != "1")
         dirs.push_back(it->second);
     else
         dirs.push_back(".");
-    if (auto it = flags.find("bench"); it != flags.end() &&
-        it->second != "1")
-        dirs.push_back(it->second);
     double tolerance = 0.10;
     if (auto it = flags.find("tolerance"); it != flags.end())
         tolerance = parseDoubleOption(it->second, "tolerance");
 
     const ObservatoryReport report =
         buildObservatoryReport(dirs, tolerance);
+    if (report.unreadableDirs > 0 || report.runs.empty()) {
+        for (const std::string &skipped : report.skipped)
+            logLine(LogLevel::Error, "skipped %s", skipped.c_str());
+        logLine(LogLevel::Error,
+                "report: %zu artifact(s) ingested, %zu unreadable "
+                "dir(s)",
+                report.runs.size(), report.unreadableDirs);
+        return 2;
+    }
     const std::string markdown = renderObservatoryMarkdown(report);
 
     auto artifactPath = [&flags](const char *key,

@@ -720,7 +720,8 @@ def validate_telemetry_stream(path):
 
 
 def validate_observatory(doc, problems):
-    """`espsim report` / tools/observatory.py cross-run report."""
+    """`espsim report` cross-run report; group members index runs[],
+    and a group whose runs have no recorded order carries no trend."""
     manifest = doc.get("manifest")
     if not isinstance(manifest, dict):
         return _fail(problems, "missing manifest object")
@@ -750,8 +751,6 @@ def validate_observatory(doc, problems):
         elif not all(isinstance(v, (int, float))
                      for v in metrics.values()):
             _fail(problems, f"{where}.metrics not all numeric")
-    paths = {run.get("path") for run in runs
-             if isinstance(run, dict)}
     groups = doc.get("groups")
     if not isinstance(groups, list):
         return _fail(problems, "groups missing")
@@ -763,27 +762,29 @@ def validate_observatory(doc, problems):
             continue
         if not isinstance(group.get("schema"), str):
             _fail(problems, f"{where}.schema missing")
-        member_paths = group.get("runs")
-        if not isinstance(member_paths, list) or not member_paths:
+        members = group.get("runs")
+        if not isinstance(members, list) or not members:
             _fail(problems, f"{where}.runs missing or empty")
-            member_paths = []
-        for ref in member_paths:
-            # espsim report references members by runs[] index;
-            # tools/observatory.py by path. Both must resolve.
-            if isinstance(ref, int):
-                if not 0 <= ref < len(runs):
-                    _fail(problems, f"{where}.runs index {ref} out "
-                                    "of range")
-            elif ref not in paths:
+            members = []
+        for ref in members:
+            if not isinstance(ref, int) or isinstance(ref, bool):
                 _fail(problems,
-                      f"{where}.runs references unknown run {ref!r}")
+                      f"{where}.runs entry {ref!r} is not an index")
+            elif not 0 <= ref < len(runs):
+                _fail(problems,
+                      f"{where}.runs index {ref} out of range")
         trends = group.get("trends")
         if not isinstance(trends, list):
             _fail(problems, f"{where}.trends missing or not a list")
             trends = []
-        if len(member_paths) < 2 and trends:
+        if len(members) < 2 and trends:
             _fail(problems,
                   f"{where}: trends present with fewer than 2 runs")
+        if not isinstance(group.get("ordered"), bool):
+            _fail(problems, f"{where}.ordered is not a boolean")
+        elif not group["ordered"] and trends:
+            _fail(problems, f"{where}: trends present in an "
+                            "unordered group")
         for j, trend in enumerate(trends):
             tw = f"{where}.trends[{j}]"
             if not isinstance(trend, dict):
@@ -894,7 +895,10 @@ def validate(path):
     }
     if schema not in handlers:
         return _fail(problems, f"unknown schema {schema!r}")
-    if doc.get("format_version") not in SUPPORTED_FORMAT_VERSIONS:
+    # Version 2 of the observatory report added groups[].ordered.
+    versions = ({2} if schema == OBSERVATORY_SCHEMA
+                else SUPPORTED_FORMAT_VERSIONS)
+    if doc.get("format_version") not in versions:
         _fail(problems, "unsupported format_version")
     return handlers[schema](doc, problems)
 
