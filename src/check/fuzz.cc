@@ -11,8 +11,8 @@
 #include "common/rng.hh"
 #include "esp/controller.hh"
 #include "report/artifact.hh"
-#include "report/interval.hh"
 #include "report/json_reader.hh"
+#include "report/telemetry.hh"
 #include "sim/simulator.hh"
 #include "sim/stats_report.hh"
 #include "workload/generator.hh"
@@ -247,64 +247,85 @@ streamingMismatch(const FuzzCase &c,
 }
 
 /**
- * Oracle: interval sampling telescopes. For every counter and any
- * sample period, baseline + Σ interval deltas must equal the final
- * snapshot *exactly* (counters are uint64-backed, exact in a double
- * below 2^53; see src/report/interval.hh), interval end cycles must
- * be monotone, and the trailing interval must land on the final
- * cycle.
+ * Oracle: the counter time series closes against the run itself. At
+ * any cycle period the telemetry stream must be one block whose
+ * snapshots carry a contiguous 1-based seq and monotone cycles,
+ * events and counters, and whose last line — the only final one —
+ * equals the run's end-of-run counter value for every name exactly
+ * (counters are uint64-backed, exact in a double below 2^53).
  */
 std::string
-intervalClosureMismatch(const FuzzCase &c, const Workload &workload)
+telemetryClosureMismatch(const FuzzCase &c, const Workload &workload)
 {
-    // Periods from a case-derived stream: short cycle periods and
-    // tiny event periods stress the grid-advance logic hardest.
+    // Periods from a case-derived stream: short cycle periods stress
+    // the grid-advance logic hardest.
     Rng rng(c.caseSeed ^ 0x1257a15a3713ULL);
     RunInstrumentation inst;
-    if (rng.chance(0.5))
-        inst.interval.sampleCycles = 500 + rng.below(30'000);
-    if (inst.interval.sampleCycles == 0 || rng.chance(0.5))
-        inst.interval.sampleEvents = 1 + rng.below(8);
-    IntervalSeries series;
-    inst.intervalSeries = &series;
-    (void)Simulator(c.config).run(workload, inst);
+    inst.telemetry.periodCycles = 1 + rng.below(rng.chance(0.5)
+                                                    ? 2'000
+                                                    : 30'000);
+    std::string captured;
+    TelemetryStream stream;
+    stream.captureTo(&captured);
+    inst.telemetryStream = &stream;
+    const SimResult r = Simulator(c.config).run(workload, inst);
 
-    if (series.names.size() != series.baseline.size() ||
-        series.names.size() != series.finalValues.size())
-        return "series name/value widths disagree";
-    std::vector<double> acc = series.baseline;
-    Cycle prev_cycle = series.baselineCycle;
-    std::uint64_t prev_events = series.baselineEvents;
-    for (const IntervalPoint &point : series.intervals) {
-        if (point.endCycle < prev_cycle)
-            return "interval end cycles are not monotone";
-        if (point.endEvents < prev_events)
-            return "interval end events are not monotone";
-        prev_cycle = point.endCycle;
-        prev_events = point.endEvents;
-        if (point.deltas.size() != acc.size())
-            return "interval delta width != names width";
-        for (std::size_t i = 0; i < acc.size(); ++i)
-            acc[i] += point.deltas[i];
+    std::vector<std::unique_ptr<JsonValue>> lines;
+    for (std::size_t start = 0; start < captured.size();) {
+        const std::size_t end = captured.find('\n', start);
+        lines.push_back(parseJson(
+            std::string_view(captured).substr(start, end - start)));
+        if (!lines.back())
+            return "stream line " + std::to_string(lines.size()) +
+                " does not parse";
+        start = end + 1;
     }
-    for (std::size_t i = 0; i < acc.size(); ++i) {
-        if (acc[i] != series.finalValues[i]) {
+    if (lines.size() < 2)
+        return "stream lacks a header and a final snapshot";
+    const JsonValue *names = lines.front()->find("names");
+    if (names == nullptr || !names->isArray())
+        return "stream header carries no names";
+    const std::size_t width = names->array.size();
+    const JsonValue *prev = nullptr;
+    for (std::size_t k = 1; k < lines.size(); ++k) {
+        const JsonValue &snap = *lines[k];
+        const JsonValue *values = snap.find("values");
+        if (values == nullptr || values->array.size() != width)
+            return "snapshot " + std::to_string(k) +
+                " width != names width";
+        if (snap.at("seq").number != static_cast<double>(k))
+            return "snapshot seq is not contiguous at line " +
+                std::to_string(k);
+        if ((snap.find("final") != nullptr) != (k + 1 == lines.size()))
+            return "the final flag is not on the last line only";
+        if (prev != nullptr) {
+            if (snap.at("cycle").number < prev->at("cycle").number)
+                return "snapshot cycles are not monotone";
+            if (snap.at("events").number < prev->at("events").number)
+                return "snapshot events are not monotone";
+            const JsonValue &before = prev->at("values");
+            for (std::size_t i = 0; i < width; ++i) {
+                if (values->array[i].number < before.array[i].number)
+                    return names->array[i].string +
+                        " decreased between snapshots";
+            }
+        }
+        prev = &snap;
+    }
+    for (std::size_t i = 0; i < width; ++i) {
+        const std::string &name = names->array[i].string;
+        const double last = prev->at("values").array[i].number;
+        if (!r.stats.has(name) || last != r.stats.get(name)) {
             char buf[192];
             std::snprintf(buf, sizeof(buf),
-                          "%s: baseline+deltas %.17g != final %.17g "
-                          "(period %llu cycles / %llu events)",
-                          series.names[i].c_str(), acc[i],
-                          series.finalValues[i],
+                          "%s: final snapshot %.17g != end of run "
+                          "%.17g (period %llu cycles)",
+                          name.c_str(), last, r.stats.get(name),
                           static_cast<ULL>(
-                              inst.interval.sampleCycles),
-                          static_cast<ULL>(
-                              inst.interval.sampleEvents));
+                              inst.telemetry.periodCycles));
             return buf;
         }
     }
-    if (!series.intervals.empty() &&
-        series.intervals.back().endCycle != series.finalCycle)
-        return "trailing interval does not land on the final cycle";
     return {};
 }
 
@@ -451,10 +472,10 @@ checkFuzzCase(const FuzzCase &c)
         return {"streaming-equivalence", std::move(m)};
     }
 
-    // Oracle: interval deltas telescope at any sample period.
-    if (std::string m = intervalClosureMismatch(c, *workload);
+    // Oracle: the counter time series closes at any period.
+    if (std::string m = telemetryClosureMismatch(c, *workload);
         !m.empty()) {
-        return {"interval-delta-closure", std::move(m)};
+        return {"telemetry-closure", std::move(m)};
     }
 
     return {};

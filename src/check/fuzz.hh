@@ -16,9 +16,12 @@
  *                            produce bit-identical stat snapshots
  *   - artifact-roundtrip:    the suite JSON artifact re-parses and
  *                            reproduces every stat value exactly
- *   - interval-delta-closure: at any sample period, the interval
- *                            series' deltas telescope — baseline +
- *                            Σ deltas == final counter snapshot
+ *   - streaming-equivalence: a streamed replay writes the same
+ *                            artifact bytes as the materialised trace
+ *   - telemetry-closure:     at any period, the counter time series
+ *                            has a contiguous seq, monotone counters
+ *                            and a final snapshot equal to the
+ *                            end-of-run counters
  *
  * On a violation the harness shrinks the profile to a minimal
  * still-failing point and prints a one-line repro command; see

@@ -269,11 +269,6 @@ ingestRun(const fs::path &path, ObservatoryReport &report)
     run.configHash = stringField(manifest, "config_hash");
     run.toolVersion = stringField(manifest, "tool_version");
     run.buildType = stringField(manifest, "build_type");
-    if (manifest != nullptr) {
-        const JsonValue *health = manifest->find("health");
-        run.degraded = health != nullptr &&
-                       stringField(health, "status") == "degraded";
-    }
     if (schema == "espsim-suite-artifact")
         extractSuiteMetrics(*doc, run);
     else if (schema == "espsim-latency-artifact")
@@ -388,6 +383,8 @@ renderObservatoryMarkdown(const ObservatoryReport &report)
     out << "- regressions flagged: " << report.regressions << "\n";
     if (!report.skipped.empty()) {
         out << "- skipped: " << report.skipped.size() << " file(s)\n";
+        for (const std::string &skipped : report.skipped)
+            out << "  - " << skipped << "\n";
     }
     for (const ObservatoryGroup &group : report.groups) {
         out << "\n## " << group.schema << " @ "
@@ -396,13 +393,12 @@ renderObservatoryMarkdown(const ObservatoryReport &report)
         if (!group.workload.empty())
             out << " (" << group.workload << ")";
         out << "\n\n";
-        out << "| run | version | build | degraded |\n";
-        out << "|---|---|---|---|\n";
+        out << "| run | version | build |\n";
+        out << "|---|---|---|\n";
         for (const std::size_t idx : group.runIndices) {
             const ObservatoryRun &run = report.runs[idx];
             out << "| " << fs::path(run.path).filename().string()
                 << " | " << run.toolVersion << " | " << run.buildType
-                << " | " << (run.degraded ? "**yes**" : "no")
                 << " |\n";
         }
         if (!group.unorderedDir.empty()) {
@@ -438,7 +434,7 @@ renderObservatoryJson(const ObservatoryReport &report)
     JsonWriter w;
     w.beginObject();
     w.key("schema").value("espsim-observatory-report");
-    w.key("format_version").value(std::uint64_t{2});
+    w.key("format_version").value(std::uint64_t{3});
     w.key("manifest").beginObject();
     w.key("source").value("espsim report");
     w.key("tool_version").value(versionString());
@@ -454,7 +450,6 @@ renderObservatoryJson(const ObservatoryReport &report)
         w.key("workload").value(run.workload);
         w.key("tool_version").value(run.toolVersion);
         w.key("build_type").value(run.buildType);
-        w.key("degraded").value(run.degraded);
         w.key("metrics").beginObject();
         for (std::size_t i = 0; i < run.metricNames.size(); ++i)
             w.key(run.metricNames[i]).value(run.metricValues[i]);

@@ -54,7 +54,6 @@ struct ObservatoryRun
     std::string workload;   //!< workload fingerprint (join key)
     std::string toolVersion;
     std::string buildType;
-    bool degraded = false; //!< manifest.health says degraded
     std::vector<std::string> metricNames;
     std::vector<double> metricValues;
 };

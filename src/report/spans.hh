@@ -13,7 +13,7 @@
  * RequestSpan is the core's single per-event record: OoOCore builds
  * one per retired event and hands it to every attached SpanSink in one
  * loop (see OoOCore::addObserver). The event timeline, the counter
- * snapshotter (telemetry and interval series) and the span collector
+ * snapshotter (the counter time series) and the span collector
  * are all SpanSinks. SpanCollector is the tail-latency sink: a
  * preallocated flight-recorder ring of the most recent spans, a
  * bounded worst-K table, and an online tail-anomaly detector over a

@@ -31,7 +31,7 @@
  *    dropped (and counted) instead of silently ballooning RSS, with a
  *    warning to stderr when the trace is finalized.
  *
- * An interval series (src/report/interval.hh) can append counter
+ * The counter time series (src/report/telemetry.hh) appends counter
  * tracks — recordIntervalCounters() samples land on their own trace
  * row so IPC/miss-rate phases line up visually with the event slices.
  *
@@ -100,7 +100,7 @@ class EventTimeline final : public SpanSink
                          Cycle start, Cycle dur);
 
     /**
-     * One interval-sampling counter snapshot at cycle @p ts: each
+     * One counter time-series interval at cycle @p ts: each
      * (metric, value) pair becomes a point on its own counter track.
      * Samples are buffered (they are tiny) and emitted after the
      * event slices in both buffered and streaming modes.

@@ -3,17 +3,12 @@
 #include <memory>
 #include <utility>
 
-#include <mutex>
-
 #include "common/logging.hh"
 #include "common/version.hh"
 #include "cpu/ooo_core.hh"
 #include "report/flight_recorder.hh"
-#include "report/host_profile.hh"
 #include "report/json_writer.hh"
-#include "report/metrics_http.hh"
 #include "report/telemetry.hh"
-#include "report/watchdog.hh"
 #include "workload/streaming.hh"
 
 namespace espsim
@@ -101,80 +96,15 @@ runServe(const ServerProfile &profile,
     for (const SimConfig &c : configs)
         report.configNames.push_back(c.name);
 
-    // Live-telemetry plane: one plane/stream/endpoint/watchdog spans
-    // the whole sweep (the progress counter and health state are
-    // sweep-global; each config opens its own JSONL block).
-    std::unique_ptr<TelemetryPlane> plane;
-    std::unique_ptr<TelemetryStream> stream;
-    std::unique_ptr<MetricsHttpServer> metrics;
-    std::unique_ptr<StallWatchdog> watchdog;
-    // The watchdog thread dumps the flight-recorder ring of whichever
-    // config is currently running; the pointer swap is mutex-guarded
-    // (the stalled simulation thread is by definition not mid-span
-    // when the watchdog reads the ring).
-    struct WatchdogTarget
-    {
-        std::mutex mu;
-        const SpanCollector *collector = nullptr;
-        std::string config;
-    };
-    auto wd_target = std::make_shared<WatchdogTarget>();
-    if (opts.telemetry.any()) {
-        plane = std::make_unique<TelemetryPlane>();
-        if (!opts.telemetry.jsonlPath.empty()) {
-            stream = std::make_unique<TelemetryStream>();
-            if (!stream->openFile(opts.telemetry.jsonlPath)) {
-                logLine(LogLevel::Error,
-                        "cannot open telemetry stream '%s'",
-                        opts.telemetry.jsonlPath.c_str());
-                stream.reset();
-            }
-        }
-        if (opts.telemetry.metricsEnabled) {
-            metrics = std::make_unique<MetricsHttpServer>(*plane);
-            if (!metrics->start(opts.telemetry.metricsPort)) {
-                logLine(LogLevel::Error,
-                        "cannot bind metrics port %u",
-                        unsigned{opts.telemetry.metricsPort});
-                metrics.reset();
-            } else {
-                logLine(LogLevel::Info,
-                        "# metrics endpoint: http://127.0.0.1:%u"
-                        "/metrics",
-                        unsigned{metrics->port()});
-            }
-        }
-        if (opts.telemetry.watchdogBudgetMs > 0) {
-            const std::string prefix =
-                opts.telemetry.watchdogDumpPrefix;
-            watchdog = std::make_unique<StallWatchdog>(
-                *plane, opts.telemetry.watchdogBudgetMs,
-                [wd_target, prefix, &p](const StallReport &stall) {
-                    logLine(LogLevel::Warn,
-                            "# watchdog: host peak RSS %.1f MB, "
-                            "stalled %.0f ms at progress %llu",
-                            peakRssMb(), stall.stalledMs,
-                            static_cast<unsigned long long>(
-                                stall.lastProgress));
-                    std::lock_guard<std::mutex> lock(wd_target->mu);
-                    if (wd_target->collector == nullptr ||
-                        prefix.empty())
-                        return;
-                    const std::string path = prefix + "." +
-                        wd_target->config + ".stall.trace.json";
-                    if (writeFlightRecorderTrace(
-                            *wd_target->collector, wd_target->config,
-                            p.name, path))
-                        logLine(LogLevel::Warn,
-                                "# watchdog: wrote flight-recorder "
-                                "dump %s",
-                                path.c_str());
-                    else
-                        logLine(LogLevel::Error,
-                                "cannot write watchdog dump '%s'",
-                                path.c_str());
-                });
-        }
+    // One stream spans the whole sweep; each config opens its own
+    // block. An unwritable path fails the sweep before it simulates.
+    TelemetryStream stream;
+    const bool telemetry_on = !opts.telemetry.jsonlPath.empty();
+    if (telemetry_on && !stream.openFile(opts.telemetry.jsonlPath)) {
+        logLine(LogLevel::Error, "cannot open telemetry stream '%s'",
+                opts.telemetry.jsonlPath.c_str());
+        report.telemetryFailed = true;
+        return report;
     }
 
     for (const SimConfig &config : configs) {
@@ -230,25 +160,13 @@ runServe(const ServerProfile &profile,
             inst.spans = spans.get();
         }
 
-        if (plane) {
+        if (telemetry_on) {
             inst.telemetry = opts.telemetry.period;
-            inst.telemetryStream = stream.get();
-            inst.telemetryPlane = plane.get();
+            inst.telemetryStream = &stream;
             inst.telemetryConfigHash = report.configHash;
-            std::lock_guard<std::mutex> lock(wd_target->mu);
-            wd_target->collector = spans.get();
-            wd_target->config = config.name;
         }
 
         const SimResult r = Simulator(config).run(workload, inst);
-
-        if (plane) {
-            // The per-run snapshotter is gone; detach the watchdog's
-            // dump target before the collector dies with this scope.
-            report.telemetrySnapshots += plane->latest().snap.seq;
-            std::lock_guard<std::mutex> lock(wd_target->mu);
-            wd_target->collector = nullptr;
-        }
 
         ServeCell cell;
         cell.config = config.name;
@@ -287,19 +205,17 @@ runServe(const ServerProfile &profile,
         report.cells.push_back(std::move(cell));
     }
 
-    if (watchdog) {
-        watchdog->stop();
-        report.watchdogFires = watchdog->fireCount();
+    if (telemetry_on) {
+        // One header line per config block; the rest are snapshots.
+        report.telemetrySnapshots =
+            stream.linesWritten() - configs.size();
+        if (!stream.close()) {
+            logLine(LogLevel::Error,
+                    "telemetry stream '%s': write failed",
+                    opts.telemetry.jsonlPath.c_str());
+            report.telemetryFailed = true;
+        }
     }
-    if (metrics)
-        metrics->stop();
-    if (plane && plane->degraded()) {
-        report.degraded = true;
-        report.degradedReason = plane->degradedReason();
-    }
-    if (stream && !stream->close())
-        logLine(LogLevel::Error, "telemetry stream '%s': write failed",
-                opts.telemetry.jsonlPath.c_str());
     return report;
 }
 
@@ -366,17 +282,6 @@ writeManifestCommon(JsonWriter &w, const ArtifactManifest &manifest,
         .value(std::uint64_t{report.arrival.thinkCycles});
     w.key("seed").value(std::uint64_t{report.arrival.seed});
     w.endObject();
-    // Opt-in like the suite artifact's `host` block: the health
-    // object only appears on degraded runs, so healthy telemetry-on
-    // artifacts stay byte-identical to telemetry-off ones.
-    if (report.degraded) {
-        w.key("health").beginObject();
-        w.key("status").value("degraded");
-        w.key("reason").value(report.degradedReason);
-        w.key("watchdog_fires")
-            .value(std::uint64_t{report.watchdogFires});
-        w.endObject();
-    }
     w.key("configs").beginArray();
     for (const std::string &name : report.configNames)
         w.value(name);

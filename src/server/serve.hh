@@ -58,37 +58,16 @@ struct ServeSpanOptions
 };
 
 /**
- * Live-telemetry knobs of one serve run (see report/telemetry.hh,
- * report/metrics_http.hh, report/watchdog.hh). The plane, snapshot
- * stream, HTTP endpoint and watchdog are all optional and mutually
- * independent; none of them perturbs the deterministic artifacts.
+ * Counter time-series knobs of one serve run (see
+ * report/telemetry.hh). The stream never perturbs the deterministic
+ * artifacts.
  */
 struct ServeTelemetryOptions
 {
-    /** Snapshot pacing; a zero config disables sampling (the plane
-     *  still carries liveness progress for the watchdog). */
+    /** Snapshot pacing (the CLI defaults it when a path is set). */
     TelemetryConfig period;
-    /** JSONL snapshot stream path ("" = no stream). */
+    /** JSONL snapshot stream path ("" = telemetry off). */
     std::string jsonlPath;
-    /** Serve /metrics, /healthz, /snapshot.json over HTTP. */
-    bool metricsEnabled = false;
-    /** Port for the metrics endpoint (0 = ephemeral). */
-    std::uint16_t metricsPort = 0;
-    /** Stall-watchdog budget in wall-clock ms (0 = no watchdog). */
-    double watchdogBudgetMs = 0;
-    /**
-     * Flight-recorder dump path prefix for a watchdog fire; the dump
-     * is `<prefix>.<config>.stall.trace.json` and requires the span
-     * recorder to be armed. Empty = log-only.
-     */
-    std::string watchdogDumpPrefix;
-
-    bool
-    any() const
-    {
-        return period.enabled() || !jsonlPath.empty() ||
-               metricsEnabled || watchdogBudgetMs > 0;
-    }
 };
 
 /** Knobs of one serve run (applied identically to every config). */
@@ -154,15 +133,11 @@ struct ServeReport
     std::string configHash;
     std::vector<ServeCell> cells;
 
-    // --- live-telemetry health (populated when telemetry.any()) ----
-    /** The stall watchdog latched a degraded state mid-run. */
-    bool degraded = false;
-    std::string degradedReason;
-    /** Total watchdog fires across the sweep (0 or 1 per config by
-     *  design). */
-    std::uint64_t watchdogFires = 0;
     /** Telemetry snapshots streamed across the sweep. */
     std::uint64_t telemetrySnapshots = 0;
+    /** The telemetry stream could not be opened (nothing was
+     *  simulated), written or closed. */
+    bool telemetryFailed = false;
 };
 
 /**

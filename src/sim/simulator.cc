@@ -90,29 +90,16 @@ Simulator::run(const Workload &workload,
             esp->setTimeline(timeline);
     }
 
-    // Counter snapshotters are constructed after every pre-run
-    // counter is registered: the name set and the baseline freeze
-    // now, so the post-run handler/derived registrations never enter
-    // a series or a stream. The interval series is the first
-    // difference of its snapshotter's snapshots.
-    IntervalSeries series;
-    std::unique_ptr<TelemetrySnapshotter> intervals;
-    if (inst.interval.enabled()) {
-        intervals = std::make_unique<TelemetrySnapshotter>(
-            reg, inst.interval, &series);
-        core.addObserver(intervals.get());
-    }
-
     if (inst.pacer)
         core.setPacer(inst.pacer);
     core.addObserver(inst.spans);
 
-    // Live telemetry is attached whenever a sink or a plane is
-    // present — the plane alone still carries liveness progress for
-    // the stall watchdog even if no period is configured.
+    // The counter snapshotter is constructed after every pre-run
+    // counter is registered: the name set and the baseline freeze
+    // now, so the post-run handler/derived registrations never enter
+    // the stream or the timeline's counter tracks.
     std::unique_ptr<TelemetrySnapshotter> telemetry;
-    if (inst.telemetry.enabled() || inst.telemetryStream != nullptr ||
-        inst.telemetryPlane != nullptr) {
+    if (inst.telemetry.enabled() || inst.telemetryStream != nullptr) {
         TelemetryRunInfo tinfo;
         tinfo.config = config_.name;
         tinfo.workload = workload.name();
@@ -121,7 +108,7 @@ Simulator::run(const Workload &workload,
                                : inst.telemetryConfigHash;
         telemetry = std::make_unique<TelemetrySnapshotter>(
             reg, inst.telemetry, std::move(tinfo),
-            inst.telemetryStream, inst.telemetryPlane);
+            inst.telemetryStream, timeline);
         core.addObserver(telemetry.get());
     }
 
@@ -131,20 +118,6 @@ Simulator::run(const Workload &workload,
         // Score still-unused prefetched blocks (useless) before
         // snapshot.
         mem.finalizePrefetchLifecycles();
-    }
-
-    if (intervals) {
-        // Close the series after the lifecycle finalize so the
-        // trailing interval telescopes to the end-of-run aggregates.
-        intervals->finalize(core.stats().cycles, core.stats().events);
-        if (timeline)
-            recordIntervalTracks(series, *timeline);
-        if (inst.intervalSeries) {
-            series.configName = config_.name;
-            series.workloadName = workload.name();
-            series.configHash = configsHash({config_});
-            *inst.intervalSeries = std::move(series);
-        }
     }
 
     if (telemetry) {

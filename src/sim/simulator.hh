@@ -15,7 +15,6 @@
 #include "cpu/ooo_core.hh"
 #include "energy/energy_model.hh"
 #include "report/host_profile.hh"
-#include "report/interval.hh"
 #include "report/spans.hh"
 #include "report/telemetry.hh"
 #include "report/timeline.hh"
@@ -78,10 +77,6 @@ struct RunInstrumentation
 {
     /** Per-event timeline recorder (nullptr = off). */
     EventTimeline *timeline = nullptr;
-    /** Interval sampling periods; disabled unless a period is set. */
-    IntervalConfig interval;
-    /** Receives the sampled series when interval.enabled(). */
-    IntervalSeries *intervalSeries = nullptr;
     /** Receives warmup/sim/report wall-clock spans (nullptr = off). */
     HostCellProfile *hostProfile = nullptr;
     /** Event arrival discipline + latency probe (nullptr = saturated
@@ -90,13 +85,11 @@ struct RunInstrumentation
     /** Per-request span sink (flight recorder / tail blame; nullptr =
      *  off). See report/spans.hh. */
     SpanSink *spans = nullptr;
-    /** Live-telemetry pacing; disabled unless a period is set. */
+    /** Counter time-series pacing (see report/telemetry.hh); with a
+     *  timeline, each snapshot also draws its counter tracks. */
     TelemetryConfig telemetry;
-    /** JSONL sink for telemetry snapshots (nullptr = none). */
+    /** JSONL sink for counter snapshots (nullptr = none). */
     TelemetryStream *telemetryStream = nullptr;
-    /** Shared plane for /metrics, /healthz and the stall watchdog
-     *  (nullptr = none). */
-    TelemetryPlane *telemetryPlane = nullptr;
     /** Run identity stamped into telemetry records (config/workload
      *  names default from the run itself when left empty). */
     std::string telemetryConfigHash;

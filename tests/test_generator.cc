@@ -280,13 +280,15 @@ TEST(Generator, StaticProgramIsConsistent)
     for (std::size_t e = 0; e < w->numEvents(); ++e) {
         for (const MicroOp &op : w->event(e).ops) {
             auto [it, inserted] = type_at.emplace(op.pc, op.type());
-            if (!inserted)
+            if (!inserted) {
                 ASSERT_EQ(it->second, op.type()) << std::hex << op.pc;
+            }
             if (op.type() == OpType::Call) {
                 auto [ct, cins] =
                     call_target_at.emplace(op.pc, op.branchTarget());
-                if (!cins)
+                if (!cins) {
                     ASSERT_EQ(ct->second, op.branchTarget());
+                }
             }
         }
     }
@@ -320,10 +322,11 @@ TEST(Generator, TakenBranchesRedirectThePc)
     const EventTrace t = gen.generateEvent(5);
     for (std::size_t i = 0; i + 1 < t.size(); ++i) {
         const MicroOp &op = t.ops[i];
-        if (op.isBranchOp() && op.taken())
+        if (op.isBranchOp() && op.taken()) {
             ASSERT_EQ(t.ops[i + 1].pc, op.branchTarget());
-        else if (!op.isBranchOp() || !op.taken())
+        } else {
             ASSERT_EQ(t.ops[i + 1].pc, op.pc + 4);
+        }
     }
 }
 

@@ -172,6 +172,38 @@ TEST(Observatory, UnlistedAndBrokenIndexEntriesAreSkipped)
                       " (not in INDEX)"}));
 }
 
+TEST(Observatory, MarkdownNamesEachSkippedFileAndWhy)
+{
+    ScratchDir scratch;
+    copyBaselinesReversed(scratch.path, true);
+    fs::copy_file(scratch.path / "BENCH_c389451.json",
+                  scratch.path / "BENCH_extra.json");
+    {
+        std::ofstream broken(scratch.path / "BENCH_broken.json");
+        broken << "{not json";
+        std::ofstream index(scratch.path / "INDEX", std::ios::app);
+        index << "BENCH_gone.json\nBENCH_broken.json\n";
+    }
+
+    const ObservatoryReport report =
+        buildObservatoryReport({scratch.path.string()}, 0.10);
+    ASSERT_EQ(report.skipped.size(), 3u);
+    const std::string markdown = renderObservatoryMarkdown(report);
+    EXPECT_NE(markdown.find("- skipped: 3 file(s)\n"), std::string::npos);
+    // One bullet per skipped file, path and reason, in skip order.
+    std::size_t at = markdown.find("- skipped:");
+    for (const std::string &skipped : report.skipped) {
+        at = markdown.find("  - " + skipped + "\n", at);
+        EXPECT_NE(at, std::string::npos) << skipped;
+    }
+    EXPECT_NE(markdown.find("BENCH_gone.json (listed in INDEX, missing)"),
+              std::string::npos);
+    EXPECT_NE(markdown.find("BENCH_broken.json (parse error)"),
+              std::string::npos);
+    EXPECT_NE(markdown.find("BENCH_extra.json (not in INDEX)"),
+              std::string::npos);
+}
+
 TEST(Observatory, DirectoryWithoutIndexHasNoTrend)
 {
     ScratchDir scratch;

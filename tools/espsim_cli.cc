@@ -6,8 +6,8 @@
  *   espsim run   --trace file.espw --config NL+S
  *   espsim run   --app bing --timeline out.trace.json
  *                [--timeline-limit N]
- *   espsim run   --app bing --sample-cycles N [--sample-events K]
- *                [--json [path]]
+ *   espsim run   --app bing --telemetry-period N
+ *                [--telemetry [path]] [--timeline out.trace.json]
  *   espsim suite --configs base,NL,ESP+NL [--jobs N] [--apps a,b]
  *                [--json [path]] [--csv [path]] [--profile]
  *                [--streaming]
@@ -16,6 +16,7 @@
  *                [--json [path]] [--trace-spans [path]]
  *                [--flight-recorder N] [--anomaly-threshold K]
  *                [--flight-dump PREFIX] [--spike-event N]
+ *                [--telemetry [path]] [--telemetry-period N]
  *   espsim bench [--out path] [--apps a,b] [--configs a,b]
  *                [--repeat N] [--events N]
  *   espsim gen   --app gmaps --out gmaps.espw [--events N]
@@ -31,8 +32,9 @@
  *
  * Tables and results print to stdout; run chatter (manifest, artifact
  * notes) goes to stderr. Exit code 0 on success, 1 on usage errors,
- * 2 on malformed option values (all numeric options are parsed by one
- * checked helper that rejects trailing garbage).
+ * 2 on an option the subcommand does not accept or a malformed option
+ * value (all numeric options are parsed by one checked helper that
+ * rejects trailing garbage).
  * `espsim diff` exits 0 when the artifacts agree within tolerance,
  * 1 on a headline regression or config mismatch, 2 on load failure.
  * `espsim suite` exits 1 when any sweep cell failed (its artifact
@@ -41,6 +43,7 @@
  * the first oracle violation, printing a shrunken repro.
  */
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -61,7 +64,6 @@
 #include "report/artifact.hh"
 #include "report/diff.hh"
 #include "report/host_profile.hh"
-#include "report/interval.hh"
 #include "report/observatory.hh"
 #include "report/telemetry.hh"
 #include "report/timeline.hh"
@@ -100,10 +102,9 @@ usage()
         "usage:\n"
         "  espsim run   --app <name>|--trace <file> --config <name> "
         "[--stats] [--timeline <file>]\n"
-        "               [--timeline-limit N] [--sample-cycles N] "
-        "[--sample-events K] [--json [path]]\n"
-        "               [--telemetry [path]] [--telemetry-period N] "
-        "[--telemetry-wall-ms M]\n"
+        "               [--timeline-limit N] [--telemetry [path]] "
+        "[--telemetry-period N]\n"
+        "               [--telemetry-wall-ms M]\n"
         "  espsim suite [--configs a,b,c] [--apps a,b] [--jobs N] "
         "[--json [path]] [--csv [path]] [--profile] [--streaming]\n"
         "  espsim serve [--profile memcached|http|testsrv] "
@@ -119,8 +120,6 @@ usage()
         "               [--spike-event N] [--spike-scale S]\n"
         "               [--telemetry [path]] [--telemetry-period N] "
         "[--telemetry-wall-ms M]\n"
-        "               [--metrics-port P] [--watchdog-ms M] "
-        "[--watchdog-dump PREFIX]\n"
         "  espsim bench [--out <path>] [--apps a,b] [--configs a,b] "
         "[--repeat N] [--events N]\n"
         "  espsim report [--dir DIR] [--bench DIR] [--tolerance F] "
@@ -276,26 +275,8 @@ cmdRun(const std::map<std::string, std::string> &flags)
 
     RunInstrumentation inst;
     inst.timeline = want_timeline ? &timeline : nullptr;
-    if (auto it = flags.find("sample-cycles"); it != flags.end()) {
-        inst.interval.sampleCycles =
-            parseUnsignedOption(it->second, "sample-cycles");
-    }
-    if (auto it = flags.find("sample-events"); it != flags.end()) {
-        inst.interval.sampleEvents =
-            parseUnsignedOption(it->second, "sample-events");
-    }
-    const auto json_it = flags.find("json");
-    if (json_it != flags.end() && !inst.interval.enabled()) {
-        logLine(LogLevel::Error,
-                "--json needs --sample-cycles and/or "
-                "--sample-events");
-        return 1;
-    }
-    IntervalSeries series;
-    if (inst.interval.enabled())
-        inst.intervalSeries = &series;
-
-    // Live telemetry stream (single-run form of the serve plane).
+    // Counter time series: the JSONL stream and, with a timeline, its
+    // interval.* counter tracks.
     TelemetryStream telemetry_stream;
     if (auto it = flags.find("telemetry"); it != flags.end()) {
         const std::string path =
@@ -346,23 +327,6 @@ cmdRun(const std::map<std::string, std::string> &flags)
                 "chrome://tracing",
                 tl_it->second.c_str(), timeline.numEvents(),
                 timeline.numStalls(), timeline.numEspWindows());
-    }
-    if (json_it != flags.end()) {
-        const std::string path = json_it->second == "1"
-            ? "espsim_intervals.json"
-            : json_it->second;
-        ArtifactManifest manifest;
-        manifest.source = "espsim run";
-        if (!writeTextFile(path,
-                           renderIntervalSeriesJson(manifest, series))) {
-            logLine(LogLevel::Error, "cannot write '%s'",
-                    path.c_str());
-            return 1;
-        }
-        logLine(LogLevel::Info,
-                "# wrote %s (%zu intervals over %zu counters)",
-                path.c_str(), series.intervals.size(),
-                series.names.size());
     }
     return 0;
 }
@@ -624,7 +588,7 @@ cmdServe(const std::map<std::string, std::string> &flags)
         opts.spans.spikeScale = s >= 2 ? static_cast<unsigned>(s) : 2;
     }
 
-    // --- live telemetry / metrics endpoint / stall watchdog ---------
+    // --- counter time series ---------------------------------------
     if (auto it = flags.find("telemetry"); it != flags.end()) {
         opts.telemetry.jsonlPath = it->second == "1"
             ? "espsim_telemetry.jsonl"
@@ -636,27 +600,24 @@ cmdServe(const std::map<std::string, std::string> &flags)
     if (auto it = flags.find("telemetry-wall-ms"); it != flags.end())
         opts.telemetry.period.wallMs =
             parseDoubleOption(it->second, "telemetry-wall-ms");
-    if (auto it = flags.find("metrics-port"); it != flags.end()) {
-        opts.telemetry.metricsEnabled = true;
-        opts.telemetry.metricsPort = static_cast<std::uint16_t>(
-            parseUnsignedOption(it->second, "metrics-port"));
-    }
-    if (auto it = flags.find("watchdog-ms"); it != flags.end())
-        opts.telemetry.watchdogBudgetMs =
-            parseDoubleOption(it->second, "watchdog-ms");
-    if (auto it = flags.find("watchdog-dump"); it != flags.end() &&
-        it->second != "1")
-        opts.telemetry.watchdogDumpPrefix = it->second;
-    // A sink without a pace would never snapshot; default to a cycle
-    // grid coarse enough to be invisible in the overhead gate.
-    if ((!opts.telemetry.jsonlPath.empty() ||
-         opts.telemetry.metricsEnabled) &&
-        !opts.telemetry.period.enabled())
+    // A stream without a pace would only hold the final snapshot;
+    // default to a cycle grid coarse enough to be invisible in the
+    // overhead gate. Serve has no timeline, so a pace without a
+    // stream snapshots nothing.
+    if (opts.telemetry.jsonlPath.empty()) {
+        if (opts.telemetry.period.enabled())
+            logLine(LogLevel::Warn,
+                    "--telemetry-period/--telemetry-wall-ms do nothing "
+                    "without --telemetry");
+    } else if (!opts.telemetry.period.enabled()) {
         opts.telemetry.period.periodCycles = 1'000'000;
+    }
 
     printRunManifest();
     const auto wall_start = std::chrono::steady_clock::now();
     const ServeReport report = runServe(profile, configs, opts);
+    if (report.cells.empty())
+        return 1; // the telemetry stream could not be opened
     const auto wall_ms =
         std::chrono::duration_cast<std::chrono::milliseconds>(
             std::chrono::steady_clock::now() - wall_start)
@@ -667,15 +628,10 @@ cmdServe(const std::map<std::string, std::string> &flags)
     // Parsed by the serve_trace_overhead gate (recorder-on vs -off).
     logLine(LogLevel::Info, "# serve wall %lld ms",
             static_cast<long long>(wall_ms));
-    if (opts.telemetry.any()) {
-        logLine(LogLevel::Info,
-                "# telemetry: %llu snapshots, %llu watchdog fires",
+    if (!opts.telemetry.jsonlPath.empty()) {
+        logLine(LogLevel::Info, "# telemetry: %llu snapshots",
                 static_cast<unsigned long long>(
-                    report.telemetrySnapshots),
-                static_cast<unsigned long long>(report.watchdogFires));
-        if (report.degraded)
-            logLine(LogLevel::Warn, "# serve run degraded: %s",
-                    report.degradedReason.c_str());
+                    report.telemetrySnapshots));
     }
 
     TextTable table("serve tail latency (cycles, '" + report.profile +
@@ -729,7 +685,9 @@ cmdServe(const std::map<std::string, std::string> &flags)
         }
         logLine(LogLevel::Info, "# wrote %s", path.c_str());
     }
-    return 0;
+    // A stream that failed mid-run still leaves the artifacts, but
+    // the run exits non-zero so scripts notice the broken series.
+    return report.telemetryFailed ? 1 : 0;
 }
 
 /**
@@ -917,9 +875,10 @@ cmdDiff(int argc, char **argv)
         } else if (arg == "--log-level") {
             value(); // consumed by main()'s pre-scan
         } else {
-            logLine(LogLevel::Error, "unknown diff flag '%s'",
+            logLine(LogLevel::Error, "unknown option '%s' for diff",
                     arg.c_str());
-            return usage();
+            usage();
+            return 2;
         }
     }
     if (paths.size() != 2)
@@ -1026,6 +985,49 @@ cmdReport(const std::map<std::string, std::string> &flags)
     return 0;
 }
 
+/** A flag-parsed subcommand and the options it accepts. */
+struct Command
+{
+    int (*run)(const std::map<std::string, std::string> &flags);
+    std::vector<std::string> flags;
+};
+
+/** Every flag-parsed subcommand (`diff` parses argv itself). */
+const std::map<std::string, Command> &
+commands()
+{
+    static const std::map<std::string, Command> table{
+        {"list", {[](const std::map<std::string, std::string> &) {
+                      return cmdList();
+                  },
+                  {}}},
+        {"run",
+         {cmdRun,
+          {"app", "config", "stats", "telemetry", "telemetry-period",
+           "telemetry-wall-ms", "timeline", "timeline-limit",
+           "trace"}}},
+        {"suite",
+         {cmdSuite,
+          {"apps", "configs", "csv", "jobs", "json", "profile",
+           "streaming"}}},
+        {"serve",
+         {cmdServe,
+          {"anomaly-min", "anomaly-threshold", "arrival",
+           "concurrency", "configs", "events", "flight-dump",
+           "flight-recorder", "gap", "json", "profile", "reservoir",
+           "seed", "spike-event", "spike-scale", "telemetry",
+           "telemetry-period", "telemetry-wall-ms", "think",
+           "trace-spans", "window", "worst"}}},
+        {"bench",
+         {cmdBench, {"apps", "configs", "events", "out", "repeat"}}},
+        {"report",
+         {cmdReport, {"bench", "dir", "json", "md", "tolerance"}}},
+        {"gen", {cmdGen, {"app", "events", "out"}}},
+        {"fuzz", {cmdFuzz, {"runs", "seed", "verbose"}}},
+    };
+    return table;
+}
+
 } // namespace
 
 int
@@ -1057,22 +1059,21 @@ main(int argc, char **argv)
     }
     if (cmd == "diff")
         return cmdDiff(argc, argv);
+    const auto cmd_it = commands().find(cmd);
+    if (cmd_it == commands().end())
+        return usage();
+    const Command &command = cmd_it->second;
     const auto flags = parseFlags(argc, argv, 2);
-    if (cmd == "list")
-        return cmdList();
-    if (cmd == "run")
-        return cmdRun(flags);
-    if (cmd == "suite")
-        return cmdSuite(flags);
-    if (cmd == "serve")
-        return cmdServe(flags);
-    if (cmd == "bench")
-        return cmdBench(flags);
-    if (cmd == "report")
-        return cmdReport(flags);
-    if (cmd == "gen")
-        return cmdGen(flags);
-    if (cmd == "fuzz")
-        return cmdFuzz(flags);
-    return usage();
+    for (const auto &flag : flags) {
+        const std::string &key = flag.first;
+        if (key != "log-level" &&
+            std::find(command.flags.begin(), command.flags.end(),
+                      key) == command.flags.end()) {
+            logLine(LogLevel::Error, "unknown option '--%s' for %s",
+                    key.c_str(), cmd.c_str());
+            usage();
+            return 2;
+        }
+    }
+    return command.run(flags);
 }

@@ -1,6 +1,6 @@
 # Produce the artifacts the artifact_validate / diff ctests check: a
-# reduced suite sweep (one app, two configs), a per-event timeline, an
-# interval series, one run with every record observer armed, the same
+# reduced suite sweep (one app, two configs), a per-event timeline, a
+# counter time series, one run with every record observer armed, the same
 # sweep at --jobs 1 and --jobs 8 (the determinism gate diffs
 # them), and the golden-gate candidate sweep, all via the espsim CLI.
 # Invoked as:
@@ -42,26 +42,26 @@ if(NOT run_rc EQUAL 0)
     message(FATAL_ERROR "espsim run --timeline failed (${run_rc})")
 endif()
 
-# Time-resolved counter series; the validator checks the exact
-# baseline + Σ deltas == final closure, not just the schema.
+# Counter time series; the validator checks the stream's contract
+# (contiguous seq, monotone counters, one final line), not just the
+# schema, and plot_intervals_runs plots it.
 execute_process(
     COMMAND ${ESPSIM_CLI} run --app amazon --config ESP+NL
-        --sample-cycles 50000 --sample-events 4
-        --json ${ARTIFACT_DIR}/intervals.json
+        --telemetry ${ARTIFACT_DIR}/intervals.jsonl
+        --telemetry-period 50000
     RESULT_VARIABLE intervals_rc)
 if(NOT intervals_rc EQUAL 0)
     message(FATAL_ERROR
-        "espsim run --sample-cycles failed (${intervals_rc})")
+        "espsim run --telemetry failed (${intervals_rc})")
 endif()
 
-# Every record observer at once: the timeline, the interval series and
-# the telemetry stream all consume the core's one per-event record in
-# a single run; artifact_validate checks all three outputs.
+# Every record observer at once: the timeline (with the time series'
+# interval.* counter tracks) and the telemetry stream both consume the
+# core's one per-event record in a single run; artifact_validate
+# checks both outputs.
 execute_process(
     COMMAND ${ESPSIM_CLI} run --app amazon --config ESP+NL
         --timeline ${ARTIFACT_DIR}/all_observers.trace.json
-        --sample-cycles 50000 --sample-events 4
-        --json ${ARTIFACT_DIR}/all_observers_intervals.json
         --telemetry ${ARTIFACT_DIR}/all_observers.jsonl
         --telemetry-period 20000
     RESULT_VARIABLE observers_rc)

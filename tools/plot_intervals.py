@@ -1,25 +1,29 @@
 #!/usr/bin/env python3
-"""Render phase plots from an interval-series artifact.
+"""Render phase plots from a telemetry stream.
 
-Reads an `espsim-interval-series` JSON file (espsim run
---sample-cycles N --json) and prints an ASCII time series of derived
-per-interval metrics: how IPC, the L1-I MPKI, the L1-D miss rate and
-ESP pre-execution occupancy evolve over the run. End-of-run aggregates
-(the paper's figures) hide phase behaviour — a warmup transient, a
-pointer-chasing stretch, an ESP window that only pays off mid-run;
-this is the tool that shows it.
+Reads an `espsim-telemetry-stream` JSON-lines file (espsim run/serve
+--telemetry PATH --telemetry-period N) and prints an ASCII time series
+of derived per-interval metrics: how IPC, the L1-I MPKI, the L1-D miss
+rate and ESP pre-execution occupancy evolve over the run. End-of-run
+aggregates (the paper's figures) hide phase behaviour — a warmup
+transient, a pointer-chasing stretch, an ESP window that only pays off
+mid-run; this is the tool that shows it.
 
-All metrics are computed here from the raw counter deltas — the
-artifact stores only monotone counters (see src/report/interval.hh),
-never rates, so any consumer can derive exactly the ratio it wants.
+The stream stores absolute, monotone counter snapshots (see
+src/report/telemetry.hh), never rates. An interval is the difference
+of two consecutive snapshots; the first one runs from the start of
+the measured run, where the simulator has reset every counter to
+zero. An interval in which no counter moved (a final snapshot taken
+on a grid point) is not plotted. A stream with several run blocks
+(one per `espsim serve` config) is plotted block by block.
 
 Standard library only, so it runs anywhere the repo builds.
 
 Usage:
-    plot_intervals.py SERIES.json [--metric NAME] [--width N]
+    plot_intervals.py STREAM.jsonl [--metric NAME] [--width N]
 
-Exit code 0 on success, 1 on a malformed artifact or an unknown
-metric name.
+Exit code 0 on success, 1 on a malformed stream or an unknown metric
+name.
 """
 
 import argparse
@@ -27,6 +31,7 @@ import json
 import sys
 
 BAR_WIDTH = 50
+STREAM_SCHEMA = "espsim-telemetry-stream"
 
 
 def _ratio(deltas, num, den, scale=1.0):
@@ -52,28 +57,49 @@ METRICS = {
 }
 
 
-def load_series(path):
+def load_blocks(path):
+    """Return [(header, [(end_cycle, {name: delta})])], one per block."""
+    blocks = []
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("schema") != "espsim-interval-series":
-        raise ValueError(f"{path}: not an espsim-interval-series")
-    names = doc.get("names")
-    intervals = doc.get("intervals")
-    if not isinstance(names, list) or not isinstance(intervals, list):
-        raise ValueError(f"{path}: missing names/intervals")
-    return doc, names, intervals
+        for number, line in enumerate(fh, 1):
+            record = json.loads(line)
+            if not isinstance(record, dict):
+                raise ValueError(f"{path}:{number}: not an object")
+            if "schema" in record:
+                if record["schema"] != STREAM_SCHEMA:
+                    raise ValueError(
+                        f"{path}:{number}: not an {STREAM_SCHEMA}")
+                names = record.get("names")
+                if not isinstance(names, list):
+                    raise ValueError(f"{path}:{number}: header has no "
+                                     "names")
+                blocks.append((record, [], [0.0] * len(names)))
+                continue
+            if not blocks:
+                raise ValueError(f"{path}:{number}: snapshot before "
+                                 "any header")
+            header, intervals, prev = blocks[-1]
+            values = record.get("values")
+            if (not isinstance(values, list)
+                    or len(values) != len(prev)):
+                raise ValueError(f"{path}:{number}: values width != "
+                                 "names width")
+            deltas = [v - p for v, p in zip(values, prev)]
+            prev[:] = values
+            if any(deltas):
+                intervals.append((record["cycle"],
+                                  dict(zip(header["names"], deltas))))
+    if not blocks:
+        raise ValueError(f"{path}: no {STREAM_SCHEMA} header")
+    return [(header, intervals) for header, intervals, _ in blocks]
 
 
-def plot_metric(name, doc, names, intervals, width):
+def plot_metric(name, header, intervals, width):
     description, fn = METRICS[name]
-    rows = []
-    for interval in intervals:
-        deltas = dict(zip(names, interval["deltas"]))
-        rows.append((interval["end_cycle"], fn(deltas)))
+    rows = [(end_cycle, fn(deltas)) for end_cycle, deltas in intervals]
     peak = max((value for _, value in rows), default=0.0)
-    manifest = doc.get("manifest", {})
-    print(f"{name} ({description}) — {manifest.get('config', '?')} on "
-          f"{manifest.get('workload', '?')}, {len(rows)} intervals")
+    print(f"{name} ({description}) — {header.get('config', '?')} on "
+          f"{header.get('workload', '?')}, {len(rows)} intervals")
     for end_cycle, value in rows:
         frac = value / peak if peak else 0.0
         bar = "#" * round(frac * width)
@@ -83,8 +109,8 @@ def plot_metric(name, doc, names, intervals, width):
 
 def main(argv):
     parser = argparse.ArgumentParser(
-        description="phase plots from an interval-series artifact")
-    parser.add_argument("artifact")
+        description="phase plots from a telemetry stream")
+    parser.add_argument("stream")
     parser.add_argument("--metric", action="append",
                         help="metric to plot (default: all); one of "
                              + ", ".join(sorted(METRICS)))
@@ -100,17 +126,19 @@ def main(argv):
             return 1
 
     try:
-        doc, names, intervals = load_series(args.artifact)
-    except (OSError, ValueError, json.JSONDecodeError) as err:
+        blocks = load_blocks(args.stream)
+    except (OSError, ValueError, KeyError, TypeError,
+            json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    if not intervals:
-        print("error: artifact has no intervals (run long enough for "
-              "at least one sample period)", file=sys.stderr)
+    if not any(intervals for _, intervals in blocks):
+        print("error: stream has no intervals (run long enough for "
+              "at least one --telemetry-period)", file=sys.stderr)
         return 1
 
-    for name in wanted:
-        plot_metric(name, doc, names, intervals, args.width)
+    for header, intervals in blocks:
+        for name in wanted:
+            plot_metric(name, header, intervals, args.width)
     return 0
 
 

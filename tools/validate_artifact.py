@@ -4,20 +4,16 @@
 Checks the schema of the JSON artifacts the simulator's binaries
 write — suite artifacts (espsim suite / figure binaries --json), table
 artifacts (descriptive figures --json), Chrome-trace timelines
-(espsim run --timeline), interval series (espsim run --sample-cycles
---json), and bench artifacts (espsim bench). Standard library only,
-so it runs anywhere the repo builds.
+(espsim run --timeline), bench artifacts (espsim bench), latency and
+span artifacts (espsim serve) and observatory reports (espsim report).
+Standard library only, so it runs anywhere the repo builds.
 
-Interval series are checked semantically, not just structurally: for
-every counter, baseline + sum(interval deltas) must equal the final
-snapshot exactly (the deltas telescope; see src/report/interval.hh).
-
-Files ending in ``.jsonl`` are treated as telemetry streams
-(``espsim run/serve --telemetry``): one header line per run block
-followed by absolute counter snapshots.  The semantic checks mirror
-the stream's contract (src/report/telemetry.hh): contiguous 1-based
-seq, monotone cycle/events/counter values within a block, and exactly
-one ``"final": true`` line closing each block.
+Files ending in ``.jsonl`` are treated as telemetry streams — the
+counter time series (``espsim run/serve --telemetry``): one header
+line per run block followed by absolute counter snapshots.  The
+semantic checks mirror the stream's contract (src/report/telemetry.hh):
+contiguous 1-based seq, monotone cycle/events/counter values within a
+block, and exactly one ``"final": true`` line closing each block.
 
 Usage:
     validate_artifact.py ARTIFACT.json [ARTIFACT2.jsonl ...]
@@ -31,7 +27,6 @@ import sys
 
 SUITE_SCHEMA = "espsim-suite-artifact"
 TABLE_SCHEMA = "espsim-table-artifact"
-INTERVAL_SCHEMA = "espsim-interval-series"
 BENCH_SCHEMA = "espsim-bench-artifact"
 LATENCY_SCHEMA = "espsim-latency-artifact"
 SPAN_SCHEMA = "espsim-span-artifact"
@@ -59,26 +54,6 @@ def _check_manifest(doc, problems, *, want_hash):
                        for c in config_hash)):
             _fail(problems, "manifest.config_hash is not a 16-digit "
                             "lowercase hex string")
-    # The health block is opt-in: serve artifacts carry it only when
-    # the run degraded (watchdog fired), so healthy runs stay
-    # byte-identical with telemetry off. Validate it when present.
-    health = manifest.get("health")
-    if health is not None:
-        if not isinstance(health, dict):
-            _fail(problems, "manifest.health is not an object")
-        else:
-            if health.get("status") != "degraded":
-                _fail(problems,
-                      "manifest.health.status != 'degraded' (healthy "
-                      "runs omit the block entirely)")
-            reason = health.get("reason")
-            if not isinstance(reason, str) or not reason:
-                _fail(problems,
-                      "manifest.health.reason missing or empty")
-            fires = health.get("watchdog_fires")
-            if not isinstance(fires, int) or fires < 0:
-                _fail(problems, "manifest.health.watchdog_fires is "
-                                "not a non-negative integer")
     return problems
 
 
@@ -167,104 +142,6 @@ def validate_table(doc, problems):
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != len(header):
             _fail(problems, f"rows[{i}] width != header width")
-    return problems
-
-
-def _check_snapshot(doc, key, n_names, problems):
-    """Validate a {cycle, events, values} snapshot block."""
-    snap = doc.get(key)
-    if not isinstance(snap, dict):
-        _fail(problems, f"{key} missing or not an object")
-        return None
-    for field in ("cycle", "events"):
-        value = snap.get(field)
-        if not isinstance(value, int) or value < 0:
-            _fail(problems,
-                  f"{key}.{field} is not a non-negative integer")
-    values = snap.get("values")
-    if not isinstance(values, list) or len(values) != n_names:
-        _fail(problems, f"{key}.values length != names length")
-        return None
-    if not all(isinstance(v, (int, float)) for v in values):
-        _fail(problems, f"{key}.values not all numeric")
-        return None
-    return snap
-
-
-def validate_interval_series(doc, problems):
-    _check_manifest(doc, problems, want_hash=True)
-    manifest = doc.get("manifest", {})
-    for key in ("config", "workload"):
-        if (not isinstance(manifest.get(key), str)
-                or not manifest[key]):
-            _fail(problems, f"manifest.{key} missing or empty")
-    periods = []
-    for key in ("sample_cycles", "sample_events"):
-        value = manifest.get(key)
-        if not isinstance(value, int) or value < 0:
-            _fail(problems,
-                  f"manifest.{key} is not a non-negative integer")
-        else:
-            periods.append(value)
-    if periods and not any(periods):
-        _fail(problems, "neither sampling period is enabled")
-
-    names = doc.get("names")
-    if not isinstance(names, list) or not names:
-        return _fail(problems, "names missing or empty")
-    if sorted(names) != names:
-        _fail(problems, "names are not sorted")
-
-    baseline = _check_snapshot(doc, "baseline", len(names), problems)
-    final = _check_snapshot(doc, "final", len(names), problems)
-
-    intervals = doc.get("intervals")
-    if not isinstance(intervals, list):
-        return _fail(problems, "intervals missing")
-    prev_cycle = baseline["cycle"] if baseline else 0
-    prev_events = baseline["events"] if baseline else 0
-    acc = list(baseline["values"]) if baseline else None
-    for i, interval in enumerate(intervals):
-        where = f"intervals[{i}]"
-        if not isinstance(interval, dict):
-            _fail(problems, f"{where} is not an object")
-            acc = None
-            continue
-        end_cycle = interval.get("end_cycle")
-        end_events = interval.get("end_events")
-        if not isinstance(end_cycle, int) or end_cycle < prev_cycle:
-            _fail(problems, f"{where}.end_cycle is not monotone")
-        else:
-            prev_cycle = end_cycle
-        if not isinstance(end_events, int) or end_events < prev_events:
-            _fail(problems, f"{where}.end_events is not monotone")
-        else:
-            prev_events = end_events
-        deltas = interval.get("deltas")
-        if (not isinstance(deltas, list)
-                or len(deltas) != len(names)
-                or not all(isinstance(v, (int, float))
-                           for v in deltas)):
-            _fail(problems,
-                  f"{where}.deltas not numeric or wrong length")
-            acc = None
-            continue
-        if acc is not None:
-            acc = [a + d for a, d in zip(acc, deltas)]
-    # The telescoping invariant: deltas must sum to the final
-    # snapshot *exactly* — counters are uint64-backed and < 2^53.
-    if acc is not None and final is not None:
-        for name, got, want in zip(names, acc, final["values"]):
-            if got != want:
-                _fail(problems,
-                      f"delta closure violated for {name!r}: "
-                      f"baseline+deltas={got}, final={want}")
-    if final is not None and intervals and acc is not None:
-        last = intervals[-1]
-        if (isinstance(last, dict)
-                and last.get("end_cycle") != final["cycle"]):
-            _fail(problems,
-                  "last interval end_cycle != final.cycle")
     return problems
 
 
@@ -743,8 +620,6 @@ def validate_observatory(doc, problems):
         for key in ("path", "schema"):
             if not isinstance(run.get(key), str) or not run[key]:
                 _fail(problems, f"{where}.{key} missing or empty")
-        if not isinstance(run.get("degraded"), bool):
-            _fail(problems, f"{where}.degraded is not a boolean")
         metrics = run.get("metrics")
         if not isinstance(metrics, dict):
             _fail(problems, f"{where}.metrics missing")
@@ -887,7 +762,6 @@ def validate(path):
     handlers = {
         SUITE_SCHEMA: validate_suite,
         TABLE_SCHEMA: validate_table,
-        INTERVAL_SCHEMA: validate_interval_series,
         BENCH_SCHEMA: validate_bench,
         LATENCY_SCHEMA: validate_latency,
         SPAN_SCHEMA: validate_span,
@@ -895,8 +769,9 @@ def validate(path):
     }
     if schema not in handlers:
         return _fail(problems, f"unknown schema {schema!r}")
-    # Version 2 of the observatory report added groups[].ordered.
-    versions = ({2} if schema == OBSERVATORY_SCHEMA
+    # Version 2 of the observatory report added groups[].ordered;
+    # version 3 dropped runs[].degraded, which no artifact can set.
+    versions = ({3} if schema == OBSERVATORY_SCHEMA
                 else SUPPORTED_FORMAT_VERSIONS)
     if doc.get("format_version") not in versions:
         _fail(problems, "unsupported format_version")
