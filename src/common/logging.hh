@@ -9,8 +9,8 @@
  *
  * Every line of run chatter (progress, artifact notes, warnings) goes
  * through one global level gate, so noisy surfaces can be silenced
- * without touching call sites: `espsim bench` wall-times, for example,
- * must not be polluted by interleaved worker output.
+ * without touching call sites: a scripted run that parses stdout, for
+ * example, must not be polluted by interleaved worker output.
  *
  * Levels, most to least severe: error > warn > info > debug. The
  * default is info. Two knobs select the threshold:

@@ -17,8 +17,6 @@
  *                [--flight-recorder N] [--anomaly-threshold K]
  *                [--flight-dump PREFIX] [--spike-event N]
  *                [--telemetry [path]] [--telemetry-period N]
- *   espsim bench [--out path] [--apps a,b] [--configs a,b]
- *                [--repeat N] [--events N]
  *   espsim gen   --app gmaps --out gmaps.espw [--events N]
  *   espsim diff  baseline.json candidate.json [--rel-tol F]
  *                [--abs-tol F] [--headline a,b] [--max-rows N]
@@ -32,9 +30,9 @@
  *
  * Tables and results print to stdout; run chatter (manifest, artifact
  * notes) goes to stderr. Exit code 0 on success, 1 on usage errors,
- * 2 on an option the subcommand does not accept or a malformed option
- * value (all numeric options are parsed by one checked helper that
- * rejects trailing garbage).
+ * 2 on an option the subcommand does not accept, a stray word after
+ * the subcommand, or a malformed option value (all numeric options
+ * are parsed by one checked helper that rejects trailing garbage).
  * `espsim diff` exits 0 when the artifacts agree within tolerance,
  * 1 on a headline regression or config mismatch, 2 on load failure.
  * `espsim suite` exits 1 when any sweep cell failed (its artifact
@@ -120,8 +118,6 @@ usage()
         "               [--spike-event N] [--spike-scale S]\n"
         "               [--telemetry [path]] [--telemetry-period N] "
         "[--telemetry-wall-ms M]\n"
-        "  espsim bench [--out <path>] [--apps a,b] [--configs a,b] "
-        "[--repeat N] [--events N]\n"
         "  espsim report [--dir DIR] [--bench DIR] [--tolerance F] "
         "[--json [path]] [--md [path]]\n"
         "  espsim gen   --app <name> --out <file> [--events N]\n"
@@ -186,24 +182,6 @@ printRunManifest()
             buildTypeString());
 }
 
-/** Minimal flag parser: --key value pairs after the subcommand. */
-std::map<std::string, std::string>
-parseFlags(int argc, char **argv, int from)
-{
-    std::map<std::string, std::string> flags;
-    for (int i = from; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--", 0) != 0)
-            continue;
-        const std::string key = arg.substr(2);
-        if (i + 1 < argc && argv[i + 1][0] != '-')
-            flags[key] = argv[++i];
-        else
-            flags[key] = "1";
-    }
-    return flags;
-}
-
 std::optional<SimConfig>
 lookupConfig(const std::string &name)
 {
@@ -215,6 +193,45 @@ lookupConfig(const std::string &name)
         return std::nullopt;
     }
     return it->second();
+}
+
+/**
+ * The `--configs a,b,c` list (@p names without the flag), each looked
+ * up in the registry; nullopt after logging the first unknown name.
+ */
+std::optional<std::vector<SimConfig>>
+parseConfigList(const std::map<std::string, std::string> &flags,
+                std::vector<std::string> names)
+{
+    if (auto it = flags.find("configs"); it != flags.end()) {
+        names.clear();
+        std::stringstream ss(it->second);
+        std::string token;
+        while (std::getline(ss, token, ','))
+            names.push_back(token);
+    }
+    std::vector<SimConfig> configs;
+    for (const std::string &name : names) {
+        const auto cfg = lookupConfig(name);
+        if (!cfg)
+            return std::nullopt;
+        configs.push_back(*cfg);
+    }
+    return configs;
+}
+
+/**
+ * Path of an artifact flag such as `--json [path]`: "" without the
+ * flag, @p def when it was given without a path.
+ */
+std::string
+artifactPath(const std::map<std::string, std::string> &flags,
+             const char *key, const char *def)
+{
+    auto it = flags.find(key);
+    if (it == flags.end())
+        return "";
+    return it->second.empty() ? def : it->second;
 }
 
 int
@@ -278,9 +295,9 @@ cmdRun(const std::map<std::string, std::string> &flags)
     // Counter time series: the JSONL stream and, with a timeline, its
     // interval.* counter tracks.
     TelemetryStream telemetry_stream;
-    if (auto it = flags.find("telemetry"); it != flags.end()) {
-        const std::string path =
-            it->second == "1" ? "espsim_telemetry.jsonl" : it->second;
+    if (const std::string path =
+            artifactPath(flags, "telemetry", "espsim_telemetry.jsonl");
+        !path.empty()) {
         if (!telemetry_stream.openFile(path)) {
             logLine(LogLevel::Error,
                     "cannot open telemetry stream '%s'", path.c_str());
@@ -334,22 +351,11 @@ cmdRun(const std::map<std::string, std::string> &flags)
 int
 cmdSuite(const std::map<std::string, std::string> &flags)
 {
-    std::vector<std::string> names{"base", "NL+S", "Runahead+NL",
-                                   "ESP+NL"};
-    if (auto it = flags.find("configs"); it != flags.end()) {
-        names.clear();
-        std::stringstream ss(it->second);
-        std::string token;
-        while (std::getline(ss, token, ','))
-            names.push_back(token);
-    }
-    std::vector<SimConfig> configs;
-    for (const std::string &name : names) {
-        const auto cfg = lookupConfig(name);
-        if (!cfg)
-            return 1;
-        configs.push_back(*cfg);
-    }
+    const auto picked_configs = parseConfigList(
+        flags, {"base", "NL+S", "Runahead+NL", "ESP+NL"});
+    if (!picked_configs)
+        return 1;
+    const std::vector<SimConfig> &configs = *picked_configs;
 
     std::vector<AppProfile> apps = AppProfile::webSuite();
     if (auto it = flags.find("apps"); it != flags.end()) {
@@ -446,19 +452,10 @@ cmdSuite(const std::map<std::string, std::string> &flags)
         }
     }
 
-    // "--json"/"--csv" with no following path get parseFlags' "1"
-    // placeholder; map that to the default artifact name.
     ArtifactManifest manifest;
     manifest.source = "espsim suite";
-    auto artifactPath = [&flags](const char *key,
-                                 const char *def) -> std::string {
-        auto it = flags.find(key);
-        if (it == flags.end())
-            return "";
-        return it->second == "1" ? def : it->second;
-    };
     if (const std::string path =
-            artifactPath("json", "espsim_suite.json");
+            artifactPath(flags, "json", "espsim_suite.json");
         !path.empty()) {
         // The host block rides along only under --profile; clean
         // artifacts stay byte-identical to the deterministic baseline.
@@ -473,7 +470,8 @@ cmdSuite(const std::map<std::string, std::string> &flags)
         }
         logLine(LogLevel::Info, "# wrote %s", path.c_str());
     }
-    if (const std::string path = artifactPath("csv", "espsim_suite.csv");
+    if (const std::string path =
+            artifactPath(flags, "csv", "espsim_suite.csv");
         !path.empty()) {
         if (!writeTextFile(path, renderSuiteArtifactCsv(
                                      manifest, configs, rows))) {
@@ -504,21 +502,9 @@ cmdServe(const std::map<std::string, std::string> &flags)
         prof_it == flags.end() ? "memcached" : prof_it->second;
     const ServerProfile profile = ServerProfile::byName(prof_name);
 
-    std::vector<std::string> names{"base", "ESP+NL"};
-    if (auto it = flags.find("configs"); it != flags.end()) {
-        names.clear();
-        std::stringstream ss(it->second);
-        std::string token;
-        while (std::getline(ss, token, ','))
-            names.push_back(token);
-    }
-    std::vector<SimConfig> configs;
-    for (const std::string &name : names) {
-        const auto cfg = lookupConfig(name);
-        if (!cfg)
-            return 1;
-        configs.push_back(*cfg);
-    }
+    const auto configs = parseConfigList(flags, {"base", "ESP+NL"});
+    if (!configs)
+        return 1;
 
     ServeOptions opts;
     if (auto it = flags.find("events"); it != flags.end())
@@ -575,7 +561,7 @@ cmdServe(const std::map<std::string, std::string> &flags)
         opts.spans.anomalyMinSamples =
             parseUnsignedOption(it->second, "anomaly-min");
     if (auto it = flags.find("flight-dump"); it != flags.end() &&
-        it->second != "1") {
+        !it->second.empty()) {
         opts.spans.enabled = true;
         opts.spans.dumpPrefix = it->second;
     }
@@ -589,11 +575,8 @@ cmdServe(const std::map<std::string, std::string> &flags)
     }
 
     // --- counter time series ---------------------------------------
-    if (auto it = flags.find("telemetry"); it != flags.end()) {
-        opts.telemetry.jsonlPath = it->second == "1"
-            ? "espsim_telemetry.jsonl"
-            : it->second;
-    }
+    opts.telemetry.jsonlPath =
+        artifactPath(flags, "telemetry", "espsim_telemetry.jsonl");
     if (auto it = flags.find("telemetry-period"); it != flags.end())
         opts.telemetry.period.periodCycles =
             parseUnsignedOption(it->second, "telemetry-period");
@@ -615,7 +598,7 @@ cmdServe(const std::map<std::string, std::string> &flags)
 
     printRunManifest();
     const auto wall_start = std::chrono::steady_clock::now();
-    const ServeReport report = runServe(profile, configs, opts);
+    const ServeReport report = runServe(profile, *configs, opts);
     if (report.cells.empty())
         return 1; // the telemetry stream could not be opened
     const auto wall_ms =
@@ -654,15 +637,8 @@ cmdServe(const std::map<std::string, std::string> &flags)
 
     ArtifactManifest manifest;
     manifest.source = "espsim serve";
-    auto artifactPath = [&flags](const char *key,
-                                 const char *def) -> std::string {
-        auto it = flags.find(key);
-        if (it == flags.end())
-            return "";
-        return it->second == "1" ? def : it->second;
-    };
     if (const std::string path =
-            artifactPath("json", "espsim_latency.json");
+            artifactPath(flags, "json", "espsim_latency.json");
         !path.empty()) {
         if (!writeTextFile(path, renderLatencyArtifactJson(manifest,
                                                            report))) {
@@ -675,8 +651,8 @@ cmdServe(const std::map<std::string, std::string> &flags)
     if (opts.spans.enabled) {
         const auto it = flags.find("trace-spans");
         const std::string path =
-            it != flags.end() && it->second != "1" ? it->second
-                                                   : "espsim_spans.json";
+            it != flags.end() && !it->second.empty() ? it->second
+                                                     : "espsim_spans.json";
         if (!writeTextFile(path,
                            renderSpanArtifactJson(manifest, report))) {
             logLine(LogLevel::Error, "cannot write '%s'",
@@ -688,129 +664,6 @@ cmdServe(const std::map<std::string, std::string> &flags)
     // A stream that failed mid-run still leaves the artifacts, but
     // the run exits non-zero so scripts notice the broken series.
     return report.telemetryFailed ? 1 : 0;
-}
-
-/**
- * `espsim bench` — simulator-throughput micro-suite. Runs a pinned
- * (config, app) grid strictly serially (one cell at a time, so cells
- * never steal each other's CPU), records the best-of---repeat wall
- * time per cell, and writes a BENCH_<git-describe>.json artifact
- * that tools/compare_bench.py can diff across commits.
- */
-int
-cmdBench(const std::map<std::string, std::string> &flags)
-{
-    // Pinned defaults: the slowest and the most instrumented design
-    // points bound the simulator's throughput envelope.
-    std::vector<std::string> names{"base", "ESP+NL"};
-    if (auto it = flags.find("configs"); it != flags.end()) {
-        names.clear();
-        std::stringstream ss(it->second);
-        std::string token;
-        while (std::getline(ss, token, ','))
-            names.push_back(token);
-    }
-    std::vector<SimConfig> configs;
-    for (const std::string &name : names) {
-        const auto cfg = lookupConfig(name);
-        if (!cfg)
-            return 1;
-        configs.push_back(*cfg);
-    }
-
-    std::vector<AppProfile> apps = AppProfile::webSuite();
-    if (auto it = flags.find("apps"); it != flags.end()) {
-        std::vector<AppProfile> picked;
-        std::stringstream ss(it->second);
-        std::string token;
-        while (std::getline(ss, token, ',')) {
-            bool found = false;
-            for (const AppProfile &p : apps) {
-                if (p.name == token) {
-                    picked.push_back(p);
-                    found = true;
-                    break;
-                }
-            }
-            if (!found) {
-                logLine(LogLevel::Error,
-                        "unknown app '%s' (try: espsim list)",
-                        token.c_str());
-                return 1;
-            }
-        }
-        apps = std::move(picked);
-    }
-
-    unsigned long repeat = 1;
-    if (auto it = flags.find("repeat"); it != flags.end())
-        repeat = parseUnsignedOption(it->second, "repeat");
-    if (repeat == 0)
-        repeat = 1;
-    unsigned long events_override = 0;
-    if (auto it = flags.find("events"); it != flags.end())
-        events_override = parseUnsignedOption(it->second, "events");
-
-    printRunManifest();
-    using Clock = std::chrono::steady_clock;
-    const auto suite_start = Clock::now();
-
-    BenchReport report;
-    report.configHash = configsHash(configs);
-    report.jobs = 1; // serial by design: cells must not contend
-    report.repeat = static_cast<unsigned>(repeat);
-    for (AppProfile profile : apps) {
-        if (events_override > 0)
-            profile.numEvents = events_override;
-        const auto workload = SyntheticGenerator(profile).generate();
-        for (const SimConfig &cfg : configs) {
-            BenchCell cell;
-            cell.app = profile.name;
-            cell.config = cfg.name;
-            cell.simEvents = workload->numEvents();
-            cell.instructions = workload->totalInstructions();
-            for (unsigned long rep = 0; rep < repeat; ++rep) {
-                const auto t0 = Clock::now();
-                const SimResult r = Simulator(cfg).run(*workload);
-                const double wall_ms =
-                    std::chrono::duration<double, std::milli>(
-                        Clock::now() - t0)
-                        .count();
-                cell.simCycles = r.cycles;
-                // Best-of-N: the minimum is the least noisy estimate
-                // of the machine's actual throughput.
-                if (rep == 0 || wall_ms < cell.wallMs)
-                    cell.wallMs = wall_ms;
-            }
-            logLine(LogLevel::Info,
-                    "# bench %s/%s: %.1f ms, %.2f Mcycles/s, %.1f "
-                    "kevents/s",
-                    cell.app.c_str(), cell.config.c_str(), cell.wallMs,
-                    cell.cyclesPerSec() / 1e6,
-                    cell.eventsPerSec() / 1e3);
-            report.cells.push_back(std::move(cell));
-        }
-    }
-    report.suiteWallMs = std::chrono::duration<double, std::milli>(
-                             Clock::now() - suite_start)
-                             .count();
-    report.peakRssMb = peakRssMb();
-
-    std::string path = std::string("BENCH_") + versionString() + ".json";
-    if (auto it = flags.find("out"); it != flags.end())
-        path = it->second;
-    ArtifactManifest manifest;
-    manifest.source = "espsim bench";
-    if (!writeTextFile(path, renderBenchArtifactJson(manifest, report))) {
-        logLine(LogLevel::Error, "cannot write '%s'", path.c_str());
-        return 1;
-    }
-    logLine(LogLevel::Info,
-            "# wrote %s (%zu cells, suite wall %.0f ms, peak RSS %.1f "
-            "MiB)",
-            path.c_str(), report.cells.size(), report.suiteWallMs,
-            report.peakRssMb);
-    return 0;
 }
 
 int
@@ -837,8 +690,8 @@ cmdGen(const std::map<std::string, std::string> &flags)
 }
 
 /**
- * `espsim diff` parses argv itself: the shared parseFlags drops
- * positional arguments, and the two artifact paths are positional.
+ * `espsim diff` parses argv itself: its two artifact paths are
+ * positional, which the shared parseFlags rejects.
  */
 int
 cmdDiff(int argc, char **argv)
@@ -922,10 +775,10 @@ cmdReport(const std::map<std::string, std::string> &flags)
     // History first, so a group's last run is the newest one.
     std::vector<std::string> dirs;
     if (auto it = flags.find("bench"); it != flags.end() &&
-        it->second != "1")
+        !it->second.empty())
         dirs.push_back(it->second);
     if (auto it = flags.find("dir"); it != flags.end() &&
-        it->second != "1")
+        !it->second.empty())
         dirs.push_back(it->second);
     else
         dirs.push_back(".");
@@ -946,15 +799,8 @@ cmdReport(const std::map<std::string, std::string> &flags)
     }
     const std::string markdown = renderObservatoryMarkdown(report);
 
-    auto artifactPath = [&flags](const char *key,
-                                 const char *def) -> std::string {
-        auto it = flags.find(key);
-        if (it == flags.end())
-            return "";
-        return it->second == "1" ? def : it->second;
-    };
     if (const std::string path =
-            artifactPath("md", "espsim_observatory.md");
+            artifactPath(flags, "md", "espsim_observatory.md");
         !path.empty()) {
         if (!writeTextFile(path, markdown)) {
             logLine(LogLevel::Error, "cannot write '%s'",
@@ -966,7 +812,7 @@ cmdReport(const std::map<std::string, std::string> &flags)
         std::fputs(markdown.c_str(), stdout);
     }
     if (const std::string path =
-            artifactPath("json", "espsim_observatory.json");
+            artifactPath(flags, "json", "espsim_observatory.json");
         !path.empty()) {
         if (!writeTextFile(path, renderObservatoryJson(report))) {
             logLine(LogLevel::Error, "cannot write '%s'",
@@ -989,7 +835,8 @@ cmdReport(const std::map<std::string, std::string> &flags)
 struct Command
 {
     int (*run)(const std::map<std::string, std::string> &flags);
-    std::vector<std::string> flags;
+    std::vector<std::string> options;  //!< `--key value`
+    std::vector<std::string> switches; //!< bare `--key`, no value
 };
 
 /** Every flag-parsed subcommand (`diff` parses argv itself). */
@@ -1000,16 +847,17 @@ commands()
         {"list", {[](const std::map<std::string, std::string> &) {
                       return cmdList();
                   },
+                  {},
                   {}}},
         {"run",
          {cmdRun,
-          {"app", "config", "stats", "telemetry", "telemetry-period",
-           "telemetry-wall-ms", "timeline", "timeline-limit",
-           "trace"}}},
+          {"app", "config", "telemetry", "telemetry-period",
+           "telemetry-wall-ms", "timeline", "timeline-limit", "trace"},
+          {"stats"}}},
         {"suite",
          {cmdSuite,
-          {"apps", "configs", "csv", "jobs", "json", "profile",
-           "streaming"}}},
+          {"apps", "configs", "csv", "jobs", "json"},
+          {"profile", "streaming"}}},
         {"serve",
          {cmdServe,
           {"anomaly-min", "anomaly-threshold", "arrival",
@@ -1017,15 +865,56 @@ commands()
            "flight-recorder", "gap", "json", "profile", "reservoir",
            "seed", "spike-event", "spike-scale", "telemetry",
            "telemetry-period", "telemetry-wall-ms", "think",
-           "trace-spans", "window", "worst"}}},
-        {"bench",
-         {cmdBench, {"apps", "configs", "events", "out", "repeat"}}},
+           "trace-spans", "window", "worst"},
+          {}}},
         {"report",
-         {cmdReport, {"bench", "dir", "json", "md", "tolerance"}}},
-        {"gen", {cmdGen, {"app", "events", "out"}}},
-        {"fuzz", {cmdFuzz, {"runs", "seed", "verbose"}}},
+         {cmdReport, {"bench", "dir", "json", "md", "tolerance"}, {}}},
+        {"gen", {cmdGen, {"app", "events", "out"}, {}}},
+        {"fuzz", {cmdFuzz, {"runs", "seed"}, {"verbose"}}},
     };
     return table;
+}
+
+/**
+ * The flags after subcommand @p cmd: `--key value` for its options
+ * (and the global --log-level), bare `--key` for its switches. An
+ * option with no following word, or one starting with '-', reads as
+ * "": `--json` alone picks the default path, and a numeric option
+ * without its number is rejected as malformed. An option the command
+ * does not accept, or a word no option takes, prints the usage text
+ * and gives nullopt (exit 2), so neither is silently ignored.
+ */
+std::optional<std::map<std::string, std::string>>
+parseFlags(int argc, char **argv, const std::string &cmd,
+           const Command &command)
+{
+    auto accepts = [](const std::vector<std::string> &keys,
+                      const std::string &key) {
+        return std::find(keys.begin(), keys.end(), key) != keys.end();
+    };
+    std::map<std::string, std::string> flags;
+    for (int i = 2; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg.rfind("--", 0) != 0) {
+            logLine(LogLevel::Error, "unexpected argument '%s' for %s",
+                    arg.c_str(), cmd.c_str());
+            usage();
+            return std::nullopt;
+        }
+        const std::string key = arg.substr(2);
+        if (accepts(command.switches, key)) {
+            flags[key] = "1";
+        } else if (key == "log-level" || accepts(command.options, key)) {
+            flags[key] =
+                i + 1 < argc && argv[i + 1][0] != '-' ? argv[++i] : "";
+        } else {
+            logLine(LogLevel::Error, "unknown option '--%s' for %s",
+                    key.c_str(), cmd.c_str());
+            usage();
+            return std::nullopt;
+        }
+    }
+    return flags;
 }
 
 } // namespace
@@ -1062,18 +951,8 @@ main(int argc, char **argv)
     const auto cmd_it = commands().find(cmd);
     if (cmd_it == commands().end())
         return usage();
-    const Command &command = cmd_it->second;
-    const auto flags = parseFlags(argc, argv, 2);
-    for (const auto &flag : flags) {
-        const std::string &key = flag.first;
-        if (key != "log-level" &&
-            std::find(command.flags.begin(), command.flags.end(),
-                      key) == command.flags.end()) {
-            logLine(LogLevel::Error, "unknown option '--%s' for %s",
-                    key.c_str(), cmd.c_str());
-            usage();
-            return 2;
-        }
-    }
-    return command.run(flags);
+    const auto flags = parseFlags(argc, argv, cmd, cmd_it->second);
+    if (!flags)
+        return 2;
+    return cmd_it->second.run(*flags);
 }
