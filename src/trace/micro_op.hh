@@ -7,13 +7,18 @@
  * address, control-flow outcome, and register operands (the latter let
  * runahead track which instructions are invalid after a missing load).
  *
- * The struct is packed to 24 bytes so the decode/issue loop streams
- * three cache lines per eight ops instead of four: the branch target
- * lives in 32 bits (every code address the workload layout can emit —
- * generator.hh bases — fits; the setter checks), and the op type
- * shares a byte with the taken flag. Only `pc`, `memAddr` and the
- * register ids remain directly-addressable fields; type, taken and
- * branchTarget go through accessors.
+ * The struct is packed to 24 bytes, the value passed around: the
+ * branch target lives in 32 bits (every code address the workload
+ * layout can emit — generator.hh bases — fits; the setter checks),
+ * and the op type shares a byte with the taken flag. Only `pc`,
+ * `memAddr` and the register ids remain directly-addressable fields;
+ * type, taken and branchTarget go through accessors.
+ *
+ * Stored ops take 16 bytes (op_sequence.hh): the pc also fits in 32
+ * bits, and an op never carries both a memory address and a branch
+ * target, so OpSequence keeps the pc beside the metadata and one
+ * operand for the address or the target. It panics on an op that
+ * breaks that contract.
  */
 
 #ifndef ESPSIM_TRACE_MICRO_OP_HH
@@ -39,7 +44,8 @@ struct MicroOp
     /** Instruction address. */
     Addr pc = 0;
 
-    /** Effective address for loads/stores; 0 otherwise. */
+    /** Effective address for loads/stores; 0 otherwise (stored ops
+     *  must keep it so). */
     Addr memAddr = 0;
 
   private:
@@ -84,7 +90,8 @@ struct MicroOp
             taken ? (typeTaken_ | takenBit) : (typeTaken_ & ~takenBit));
     }
 
-    /** Next PC actually followed by a taken branch; 0 otherwise. */
+    /** Next PC actually followed by a taken branch; 0 otherwise (and
+     *  always 0 on a stored load/store). */
     Addr branchTarget() const { return target32_; }
 
     void
@@ -103,9 +110,11 @@ struct MicroOp
     bool isLoad() const { return type() == OpType::Load; }
     bool isStore() const { return type() == OpType::Store; }
 
-    /** @name SoA transport
-     * OpSequence (op_sequence.hh) stores ops as three parallel 64-bit
-     * lanes: pc, memAddr, and this packed metadata word.
+    /** @name Lane transport
+     * The logical metadata word: 32-bit branch target in the low half,
+     * type/taken, srcA, srcB and dest in the high half. OpSequence
+     * (op_sequence.hh) stores the high half beside the pc and the
+     * target in its operand lane, and rebuilds the word on read.
      * @{ */
     std::uint64_t
     metaLane() const
@@ -114,6 +123,14 @@ struct MicroOp
             (std::uint64_t{typeTaken_} << 32) |
             (std::uint64_t{srcA} << 40) | (std::uint64_t{srcB} << 48) |
             (std::uint64_t{dest} << 56);
+    }
+
+    /** The op type encoded in a word whose high half is metaLane()'s. */
+    static OpType
+    typeOfMetaLane(std::uint64_t meta)
+    {
+        return static_cast<OpType>(static_cast<std::uint8_t>(meta >> 32) &
+                                   ~takenBit);
     }
 
     static MicroOp

@@ -2,14 +2,21 @@
  * @file
  * Structure-of-arrays storage for a dynamic instruction stream.
  *
- * The decode/issue loop touches every op's pc and metadata but only a
- * memory op's effective address. Storing an event's ops as three
- * parallel 64-bit lanes (pc / memAddr / packed meta) lets that loop
- * stream two dense arrays and pick from the third on demand, instead
- * of striding through 24-byte records; it also keeps each lane
- * trivially prefetchable. MicroOp remains the exchange currency:
- * operator[] assembles one by value, and const-reference bindings at
- * existing call sites keep working through lifetime extension.
+ * An event's ops live in two parallel 64-bit lanes, 16 bytes per op:
+ *  - pcMeta: the 32-bit pc in the low half; type/taken, srcA, srcB
+ *    and dest (the high half of MicroOp::metaLane()) in the high half;
+ *  - operand: memAddr for a Load/Store, otherwise the branch target
+ *    (0 on ALU ops).
+ * A MicroOp never carries both a memory address and a branch target,
+ * and every code address fits in 32 bits, so the two lanes hold the
+ * whole op; the op type in pcMeta says how to read the operand.
+ * push_back() panics on an op that breaks that contract, as
+ * MicroOp::setBranchTarget() does on a wide target; a reader of
+ * untrusted input checks fits() first.
+ *
+ * MicroOp remains the exchange currency: operator[] assembles one by
+ * value, and const-reference bindings at existing call sites keep
+ * working through lifetime extension.
  */
 
 #ifndef ESPSIM_TRACE_OP_SEQUENCE_HH
@@ -22,6 +29,7 @@
 #include <iterator>
 #include <vector>
 
+#include "common/logging.hh"
 #include "trace/micro_op.hh"
 
 namespace espsim
@@ -40,31 +48,55 @@ class OpSequence
             push_back(op);
     }
 
-    std::size_t size() const { return pc_.size(); }
-    bool empty() const { return pc_.empty(); }
+    /** True when the two packed lanes can hold @p op: a 32-bit pc, no
+     *  branch target on a memory op, no memory address on any other. */
+    static bool
+    fits(const MicroOp &op)
+    {
+        if (op.pc >> 32)
+            return false;
+        return op.isMemoryOp() ? op.branchTarget() == 0 : op.memAddr == 0;
+    }
+
+    std::size_t size() const { return pcMeta_.size(); }
+    bool empty() const { return pcMeta_.empty(); }
+
+    /** Heap bytes the lanes hold (16 per op of capacity). */
+    std::size_t
+    capacityBytes() const
+    {
+        return pcMeta_.capacity() * sizeof(std::uint64_t) +
+            operand_.capacity() * sizeof(Addr);
+    }
 
     void
     reserve(std::size_t n)
     {
-        pc_.reserve(n);
-        mem_.reserve(n);
-        meta_.reserve(n);
+        pcMeta_.reserve(n);
+        operand_.reserve(n);
     }
 
     void
     clear()
     {
-        pc_.clear();
-        mem_.clear();
-        meta_.clear();
+        pcMeta_.clear();
+        operand_.clear();
     }
 
     void
     push_back(const MicroOp &op)
     {
-        pc_.push_back(op.pc);
-        mem_.push_back(op.memAddr);
-        meta_.push_back(op.metaLane());
+        if (!fits(op)) {
+            panic("OpSequence: op at pc %#llx (type %u, memAddr %#llx, "
+                  "branch target %#llx) does not fit the packed lanes",
+                  static_cast<unsigned long long>(op.pc),
+                  static_cast<unsigned>(op.type()),
+                  static_cast<unsigned long long>(op.memAddr),
+                  static_cast<unsigned long long>(op.branchTarget()));
+        }
+        pcMeta_.push_back(op.pc | (op.metaLane() & highHalf));
+        operand_.push_back(op.isMemoryOp() ? op.memAddr
+                                           : op.branchTarget());
     }
 
     /** Assemble the op at @p i by value. */
@@ -72,26 +104,31 @@ class OpSequence
     operator[](std::size_t i) const
     {
         assert(i < size());
-        return MicroOp::fromLanes(pc_[i], mem_[i], meta_[i]);
+        const std::uint64_t pc_meta = pcMeta_[i];
+        const Addr operand = operand_[i];
+        const bool mem = isMemoryLane(pc_meta);
+        return MicroOp::fromLanes(pc_meta & ~highHalf, mem ? operand : 0,
+                                  (pc_meta & highHalf) |
+                                      (mem ? 0 : operand));
     }
 
-    /** Overwrite the op at @p i. */
-    void
-    set(std::size_t i, const MicroOp &op)
+    /** @name Logical lanes: the values a MicroOp of the op reports.
+     * @{ */
+    Addr pc(std::size_t i) const { return pcMeta_[i] & ~highHalf; }
+
+    Addr
+    memAddr(std::size_t i) const
     {
-        assert(i < size());
-        pc_[i] = op.pc;
-        mem_[i] = op.memAddr;
-        meta_[i] = op.metaLane();
+        return isMemoryLane(pcMeta_[i]) ? operand_[i] : 0;
     }
 
-    /** @name Lane accessors for the hot decode/issue loop. @{ */
-    Addr pc(std::size_t i) const { return pc_[i]; }
-    Addr memAddr(std::size_t i) const { return mem_[i]; }
-    std::uint64_t metaLane(std::size_t i) const { return meta_[i]; }
-    const Addr *pcLane() const { return pc_.data(); }
-    const Addr *memLane() const { return mem_.data(); }
-    const std::uint64_t *metaLaneData() const { return meta_.data(); }
+    /** MicroOp::metaLane() of the op at @p i. */
+    std::uint64_t
+    metaLane(std::size_t i) const
+    {
+        return (pcMeta_[i] & highHalf) |
+            (isMemoryLane(pcMeta_[i]) ? 0 : operand_[i]);
+    }
     /** @} */
 
     /** Input iterator yielding MicroOps by value (range-for support;
@@ -140,9 +177,16 @@ class OpSequence
     const_iterator end() const { return {this, size()}; }
 
   private:
-    std::vector<Addr> pc_;
-    std::vector<Addr> mem_;
-    std::vector<std::uint64_t> meta_;
+    static constexpr std::uint64_t highHalf = 0xffff'ffff'0000'0000ULL;
+
+    static bool
+    isMemoryLane(std::uint64_t pc_meta)
+    {
+        return isMemory(MicroOp::typeOfMetaLane(pc_meta));
+    }
+
+    std::vector<std::uint64_t> pcMeta_;
+    std::vector<Addr> operand_;
 };
 
 } // namespace espsim

@@ -7,6 +7,7 @@
 #include <ostream>
 
 #include "common/logging.hh"
+#include "trace/op_sequence.hh"
 
 namespace espsim
 {
@@ -74,7 +75,9 @@ getOp(std::istream &in, MicroOp &op)
     op.srcA = a;
     op.srcB = b;
     op.dest = d;
-    return true;
+    // OpSequence's 16-byte layout holds a 32-bit pc and one operand
+    // (address or target); reject an op it could not store.
+    return OpSequence::fits(op);
 }
 
 } // namespace

@@ -13,7 +13,7 @@
  *              u64 argObjectAddr, u64 divergencePoint (max = none),
  *              u64 opCount, u64 tailOpCount, then packed ops
  *   op       : u64 pc, u64 memAddr, u64 branchTarget, u8 type,
- *              u8 taken, u8 srcA, u8 srcB, u8 dest (37 bytes)
+ *              u8 taken, u8 srcA, u8 srcB, u8 dest (29 bytes)
  */
 
 #ifndef ESPSIM_TRACE_TRACE_IO_HH
@@ -39,7 +39,9 @@ bool saveWorkload(const std::string &path, const Workload &workload);
 
 /**
  * Deserialize a workload. Returns nullptr on malformed input (bad
- * magic, unsupported version, truncation, or implausible sizes).
+ * magic, unsupported version, truncation, implausible sizes, or an
+ * op OpSequence cannot store: a pc of 2^32 or above, a memory address
+ * on a non-memory op, a branch target on a load/store).
  */
 std::unique_ptr<InMemoryWorkload> readWorkload(std::istream &in);
 

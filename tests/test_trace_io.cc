@@ -2,12 +2,15 @@
  * @file
  * Tests for workload serialization: lossless round-trips (including
  * divergence tails and warm sets), format validation, and robustness
- * against corrupt or truncated input.
+ * against corrupt, truncated or unpackable input; and for the 16-byte
+ * packed op storage (OpSequence) the reader fills.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
+#include <vector>
 
 #include "sim/simulator.hh"
 #include "trace/trace_io.hh"
@@ -55,7 +58,103 @@ expectEqualWorkloads(const Workload &a, const Workload &b)
     }
 }
 
+/** A one-event, one-op trace file holding @p op. */
+std::string
+oneOpTrace(const MicroOp &op)
+{
+    EventTrace ev;
+    ev.ops.push_back(op);
+    std::vector<EventTrace> events;
+    events.push_back(std::move(ev));
+    const InMemoryWorkload w("one", std::move(events));
+    std::stringstream buf;
+    writeWorkload(buf, w);
+    return buf.str();
+}
+
+/** Overwrite the u64 at byte @p offset of the last op in @p bytes
+ *  (ops are 29 bytes: pc at 0, memAddr at 8, branchTarget at 16). */
+void
+patchLastOp(std::string &bytes, std::size_t offset, std::uint64_t value)
+{
+    std::memcpy(&bytes[bytes.size() - 29 + offset], &value, sizeof(value));
+}
+
+/** An op of @p type at the extremes the packed lanes must hold. */
+MicroOp
+extremeOp(OpType type, bool taken)
+{
+    MicroOp op;
+    op.pc = 0xffff'fffcULL;
+    op.setType(type);
+    op.setTaken(taken);
+    if (isMemory(type))
+        op.memAddr = 0x1'ffff'fff8ULL; // 33 bits
+    else
+        op.setBranchTarget(0xffff'ffffULL);
+    return op;
+}
+
 } // namespace
+
+TEST(OpSequence, EveryTypeRoundTripsAtItsExtremes)
+{
+    std::vector<MicroOp> ops;
+    for (unsigned t = 0; t <= static_cast<unsigned>(OpType::Return); ++t) {
+        for (bool taken : {false, true}) {
+            MicroOp op = extremeOp(static_cast<OpType>(t), taken);
+            ops.push_back(op); // noReg operands
+            op.srcA = 0;
+            op.srcB = numArchRegs - 1;
+            op.dest = 7;
+            ops.push_back(op);
+        }
+    }
+    OpSequence seq;
+    for (const MicroOp &op : ops)
+        seq.push_back(op);
+    ASSERT_EQ(seq.size(), ops.size());
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+        const MicroOp &want = ops[i];
+        EXPECT_TRUE(sameOp(seq[i], want)) << "op " << i;
+        EXPECT_EQ(seq.pc(i), want.pc);
+        EXPECT_EQ(seq.memAddr(i), want.memAddr);
+        EXPECT_EQ(seq.metaLane(i), want.metaLane());
+    }
+}
+
+TEST(OpSequence, StoresSixteenBytesPerOp)
+{
+    static_assert(sizeof(OpSequence) == 2 * sizeof(std::vector<Addr>),
+                  "OpSequence keeps exactly two lanes");
+    OpSequence seq;
+    seq.reserve(1000);
+    EXPECT_EQ(seq.capacityBytes(), 16u * 1000);
+}
+
+TEST(OpSequenceDeathTest, PanicsOnWidePc)
+{
+    MicroOp op;
+    op.pc = 0x1'0000'0000ULL;
+    OpSequence seq;
+    EXPECT_DEATH(seq.push_back(op), "does not fit");
+}
+
+TEST(OpSequenceDeathTest, PanicsOnMemAddrOfNonMemoryOp)
+{
+    MicroOp op = extremeOp(OpType::BranchCond, true);
+    op.memAddr = 0x5000;
+    OpSequence seq;
+    EXPECT_DEATH(seq.push_back(op), "does not fit");
+}
+
+TEST(OpSequenceDeathTest, PanicsOnBranchTargetOfMemoryOp)
+{
+    MicroOp op = extremeOp(OpType::Load, false);
+    op.setBranchTarget(0x1100);
+    OpSequence seq;
+    EXPECT_DEATH(seq.push_back(op), "does not fit");
+}
 
 TEST(TraceIo, RoundTripsBuilderWorkload)
 {
@@ -181,5 +280,32 @@ TEST(TraceIo, RejectsInsaneDivergencePoint)
                 }
             }
         }
+    }
+}
+
+TEST(TraceIo, RejectsUnpackableOps)
+{
+    MicroOp alu;
+    alu.pc = 0x1000;
+    MicroOp load;
+    load.pc = 0x1004;
+    load.setType(OpType::Load);
+    load.memAddr = 0x5000;
+    struct Case
+    {
+        const char *what;
+        MicroOp op;
+        std::size_t offset;
+        std::uint64_t value;
+    };
+    for (const Case &c : {Case{"33-bit pc", alu, 0, 0x1'0000'1000ULL},
+                          Case{"memAddr on an ALU op", alu, 8, 0x5000},
+                          Case{"target on a load", load, 16, 0x1100}}) {
+        std::string bytes = oneOpTrace(c.op);
+        std::stringstream good(bytes);
+        ASSERT_NE(readWorkload(good), nullptr) << c.what;
+        patchLastOp(bytes, c.offset, c.value);
+        std::stringstream bad(bytes);
+        EXPECT_EQ(readWorkload(bad), nullptr) << c.what;
     }
 }

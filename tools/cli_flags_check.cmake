@@ -2,9 +2,12 @@
 # only its own options. A typo or a removed flag must exit exactly 2
 # with "unknown option" on stderr before anything runs, instead of
 # being ignored; so must a word no option takes (a positional app
-# name, or a value after a switch such as --stats).
+# name, or a value after a switch such as --stats). A --trace file
+# that is malformed, or holds an op the packed op storage cannot hold,
+# exits 2 as bad input too.
 # Invoked as:
-#   cmake -DESPSIM_CLI=<path> -P this-file
+#   cmake -DESPSIM_CLI=<path> -DWORK_DIR=<dir> [-DPYTHON=<python3>]
+#         -P this-file
 
 function(expect_rejected message)
     execute_process(
@@ -53,5 +56,42 @@ expect_rejected("unexpected argument 'x'" fuzz --verbose x)
 # A numeric option without its number is malformed, not the value 1.
 expect_rejected("invalid value" serve --profile testsrv --events --json)
 
-message(STATUS "unknown options and stray words exit 2 on every "
-    "subcommand tried")
+# Bad trace files.
+file(MAKE_DIRECTORY ${WORK_DIR})
+file(WRITE ${WORK_DIR}/garbage.espw "not a trace")
+expect_rejected("malformed trace file" run --trace ${WORK_DIR}/garbage.espw)
+# A one-op trace, well formed but for its op's 33-bit pc; the same
+# file with a 32-bit pc loads and runs, so only the pc is at fault.
+if(PYTHON)
+    set(write_traces [=[
+import struct, sys
+def trace(pc):
+    head = b"ESPW" + struct.pack("<IIIQ", 1, 1, 0, 0)
+    event = struct.pack("<QIQQQQQ", 0, 0, 0x1000, 0, 2**64 - 1, 1, 0)
+    return head + event + struct.pack("<QQQ5B", pc, 0, 0, 0, 0, 255, 255, 255)
+for path, pc in ((sys.argv[1], 0x1000), (sys.argv[2], 2**32)):
+    open(path, "wb").write(trace(pc))
+]=])
+    execute_process(
+        COMMAND ${PYTHON} -c "${write_traces}"
+            ${WORK_DIR}/one_op.espw ${WORK_DIR}/wide_pc.espw
+        RESULT_VARIABLE rc)
+    if(NOT rc EQUAL 0)
+        message(FATAL_ERROR "could not write the test traces: ${rc}")
+    endif()
+    execute_process(
+        COMMAND ${ESPSIM_CLI} run --trace ${WORK_DIR}/one_op.espw
+            --config base
+        RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
+    if(NOT rc EQUAL 0)
+        message(FATAL_ERROR "espsim run on a one-op trace: exit '${rc}': "
+            "${err}")
+    endif()
+    expect_rejected("malformed trace file"
+        run --trace ${WORK_DIR}/wide_pc.espw --config base)
+else()
+    message(STATUS "no Python: the unpackable-trace case is not run")
+endif()
+
+message(STATUS "unknown options, stray words and bad traces exit 2 on "
+    "every subcommand tried")

@@ -33,6 +33,8 @@
  * 2 on an option the subcommand does not accept, a stray word after
  * the subcommand, or a malformed option value (all numeric options
  * are parsed by one checked helper that rejects trailing garbage).
+ * `espsim run --trace` exits 2 on a malformed trace file, including
+ * one holding an op the simulator's packed op storage cannot hold.
  * `espsim diff` exits 0 when the artifacts agree within tolerance,
  * 1 on a headline regression or config mismatch, 2 on load failure.
  * `espsim suite` exits 1 when any sweep cell failed (its artifact
@@ -265,7 +267,7 @@ cmdRun(const std::map<std::string, std::string> &flags)
         if (!workload) {
             logLine(LogLevel::Error, "malformed trace file '%s'",
                     it->second.c_str());
-            return 1;
+            return 2;
         }
     } else {
         const auto app_it = flags.find("app");
