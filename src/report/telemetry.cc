@@ -85,8 +85,7 @@ TelemetrySnapshotter::TelemetrySnapshotter(const StatRegistry &reg,
                                            TelemetryStream *stream,
                                            EventTimeline *timeline)
     : cfg_(cfg), info_(std::move(info)), stream_(stream),
-      timeline_(timeline), nextCycle_(cfg.periodCycles),
-      lastWall_(std::chrono::steady_clock::now())
+      timeline_(timeline), nextCycle_(cfg.periodCycles)
 {
     // Freeze the counter name set now: stats registered after the run
     // (handler breakdown, derived metrics) never appear, so every
@@ -124,7 +123,6 @@ TelemetrySnapshotter::writeHeader()
     w.key("workload").value(info_.workload);
     w.key("config_hash").value(info_.configHash);
     w.key("period_cycles").value(cfg_.periodCycles);
-    w.key("wall_ms").value(cfg_.wallMs);
     w.key("names");
     w.beginArray();
     for (const std::string &name : names_)
@@ -206,35 +204,14 @@ TelemetrySnapshotter::onSpan(const RequestSpan &span)
     if (finalized_)
         return;
     const Cycle now = span.retire;
+    if (cfg_.periodCycles == 0 || now < nextCycle_)
+        return;
     // The grid re-anchors past the current point once crossed, so a
     // long event skips grid points instead of emitting a burst of
     // stale snapshots (the registry is only consistent at retires).
-    bool due = false;
-    if (cfg_.periodCycles > 0 && now >= nextCycle_) {
-        due = true;
-        nextCycle_ +=
-            ((now - nextCycle_) / cfg_.periodCycles + 1) *
-            cfg_.periodCycles;
-    }
-    if (cfg_.wallMs > 0 && !due) {
-        // The steady_clock read costs far more than a retire; check
-        // it only every 64 retires. Worst-case staleness at serve
-        // throughput is microseconds — invisible at ms-scale pacing.
-        if (++sinceWallCheck_ >= 64) {
-            sinceWallCheck_ = 0;
-            const auto now_wall = std::chrono::steady_clock::now();
-            const double elapsed_ms =
-                std::chrono::duration<double, std::milli>(now_wall -
-                                                          lastWall_)
-                    .count();
-            if (elapsed_ms >= cfg_.wallMs) {
-                due = true;
-                lastWall_ = now_wall;
-            }
-        }
-    }
-    if (due)
-        sample(now, span.index + 1, /*final_=*/false);
+    nextCycle_ +=
+        ((now - nextCycle_) / cfg_.periodCycles + 1) * cfg_.periodCycles;
+    sample(now, span.index + 1, /*final_=*/false);
 }
 
 void

@@ -10,15 +10,15 @@
  *    name set and reads a baseline at construction, then observes the
  *    core's per-event records (it is a SpanSink) and takes *absolute*
  *    counter snapshots at event-retire boundaries (the only points
- *    where the stat surface is consistent), paced by simulated cycles
- *    and/or wall-clock time. Counters are monotone across snapshots
- *    and the final snapshot — always taken at finalize — equals the
- *    end-of-run registry values exactly (uint64 counters are exact in
- *    double below 2^53). Each snapshot is written to a TelemetryStream
- *    and, with a timeline attached, its first difference against the
- *    previous snapshot (the baseline before the first) lands as
- *    Perfetto `interval.*` counter tracks: IPC, L1-I MPKI, L1-D miss
- *    rate and ESP occupancy.
+ *    where the stat surface is consistent), paced by simulated cycles.
+ *    Counters are monotone across snapshots and the final snapshot —
+ *    always taken at finalize — equals the end-of-run registry values
+ *    exactly (uint64 counters are exact in double below 2^53). Each
+ *    snapshot is written to a TelemetryStream and, with a timeline
+ *    attached, its first difference against the previous snapshot
+ *    (the baseline before the first) lands as Perfetto `interval.*`
+ *    counter tracks: IPC, L1-I MPKI, L1-D miss rate and ESP
+ *    occupancy.
  *
  *  - **TelemetryStream** — a JSON-lines sink (file or in-memory for
  *    tests). One stream may carry several run blocks (a serve sweep
@@ -30,17 +30,14 @@
  *    (tools/plot_intervals.py shows how).
  *
  * Determinism: the snapshotter only reads counters, so every other
- * artifact stays byte-identical with it on or off. The stream and the
- * counter tracks are deterministic when paced purely by cycles
- * (wall-clock pacing trades determinism for a fixed real-time
- * cadence).
+ * artifact stays byte-identical with it on or off, and the stream and
+ * the counter tracks are themselves deterministic.
  */
 
 #ifndef ESPSIM_REPORT_TELEMETRY_HH
 #define ESPSIM_REPORT_TELEMETRY_HH
 
 #include <array>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -56,20 +53,19 @@ namespace espsim
 class EventTimeline;
 
 /** Version of the telemetry-stream schema this build writes. */
-constexpr std::uint32_t telemetryStreamFormatVersion = 1;
+constexpr std::uint32_t telemetryStreamFormatVersion = 2;
 
-/** When the snapshotter samples. Either pace may be 0 (= disabled). */
+/** When the snapshotter samples. */
 struct TelemetryConfig
 {
-    /** Snapshot when ≥ this many simulated cycles passed. */
+    /** Snapshot when ≥ this many simulated cycles passed (0 = only
+     *  the final snapshot). */
     Cycle periodCycles = 0;
-    /** Snapshot when ≥ this many wall-clock ms passed. */
-    double wallMs = 0;
 
     bool
     enabled() const
     {
-        return periodCycles > 0 || wallMs > 0;
+        return periodCycles > 0;
     }
 };
 
@@ -171,8 +167,6 @@ class TelemetrySnapshotter final : public SpanSink
     std::array<std::size_t, NumTracked> tracked_{};
     std::uint64_t seq_ = 0;
     Cycle nextCycle_ = 0;
-    std::chrono::steady_clock::time_point lastWall_;
-    unsigned sinceWallCheck_ = 0;
     bool finalized_ = false;
 
     void writeHeader();

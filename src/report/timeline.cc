@@ -57,10 +57,6 @@ void
 EventTimeline::onSpan(const RequestSpan &span)
 {
     curEvent_ = span.index + 1;
-    if (full()) {
-        ++droppedEvents_;
-        return;
-    }
     pending_.record = span;
     events_.push_back(pending_);
     pending_ = EventSpan{};
@@ -71,8 +67,6 @@ EventTimeline::onSpan(const RequestSpan &span)
 void
 EventTimeline::recordStall(TimelineStall kind, Cycle start, Cycle dur)
 {
-    if (full())
-        return;
     StallSpan span;
     span.kind = kind;
     span.eventIdx = curEvent_;
@@ -88,8 +82,6 @@ EventTimeline::recordEspWindow(unsigned depth,
                                std::size_t spec_event_idx, Cycle start,
                                Cycle dur)
 {
-    if (full())
-        return;
     EspSpan span;
     span.depth = depth;
     span.specEventIdx = spec_event_idx;
@@ -116,12 +108,6 @@ EventTimeline::setRunInfo(const std::string &config_name,
 {
     configName_ = config_name;
     workloadName_ = workload_name;
-}
-
-void
-EventTimeline::setEventLimit(std::size_t max_events)
-{
-    eventLimit_ = max_events;
 }
 
 namespace
@@ -336,8 +322,6 @@ EventTimeline::renderFooter(JsonWriter &w) const
     if (!traceKind_.empty())
         w.key("trace_kind").value(traceKind_);
     w.key("cycles_per_us").value(std::uint64_t{1});
-    if (droppedEvents_ > 0)
-        w.key("dropped_events").value(std::uint64_t{droppedEvents_});
     w.endObject();
     w.endObject();
 }
@@ -345,11 +329,6 @@ EventTimeline::renderFooter(JsonWriter &w) const
 std::string
 EventTimeline::renderChromeTrace() const
 {
-    if (droppedEvents_ > 0) {
-        warn("timeline: event limit %zu reached; dropped %zu later "
-             "events",
-             eventLimit_, droppedEvents_);
-    }
     JsonWriter w;
     renderHeader(w);
     renderBuffered(w);
@@ -406,11 +385,6 @@ EventTimeline::closeStream()
 {
     if (!stream_)
         return false;
-    if (droppedEvents_ > 0) {
-        warn("timeline: event limit %zu reached; dropped %zu later "
-             "events",
-             eventLimit_, droppedEvents_);
-    }
     bool ok = flushBuffered();
     renderCounterSamples(stream_->writer);
     renderFooter(stream_->writer);

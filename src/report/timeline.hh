@@ -21,15 +21,11 @@
  * slice's `dur` reads directly as its cycle count.
  *
  * Memory behaviour: by default the recorder buffers every span and
- * renderChromeTrace() serializes them in one pass. Two controls keep
- * long runs bounded:
- *  - streamTo(path) switches to incremental export — each event's
- *    record group (slices, stalls, ESP windows) is serialized and
- *    written as soon as its record arrives, so the buffer holds at
- *    most one event's spans. Both modes produce byte-identical files.
- *  - setEventLimit(n) caps the recorded events at n; later events are
- *    dropped (and counted) instead of silently ballooning RSS, with a
- *    warning to stderr when the trace is finalized.
+ * renderChromeTrace() serializes them in one pass. streamTo(path)
+ * keeps long runs bounded by switching to incremental export — each
+ * event's record group (slices, stalls, ESP windows) is serialized and
+ * written as soon as its record arrives, so the buffer holds at most
+ * one event's spans. Both modes produce byte-identical files.
  *
  * The counter time series (src/report/telemetry.hh) appends counter
  * tracks — recordIntervalCounters() samples land on their own trace
@@ -119,16 +115,6 @@ class EventTimeline final : public SpanSink
      */
     void setTraceKind(const std::string &kind) { traceKind_ = kind; }
 
-    /**
-     * Record at most @p max_events events (0 = unlimited). Events
-     * beyond the cap are dropped and counted; finalizing the trace
-     * warns on stderr when anything was dropped.
-     */
-    void setEventLimit(std::size_t max_events);
-
-    /** Events dropped by the event limit so far. */
-    std::size_t droppedEvents() const { return droppedEvents_; }
-
     std::size_t numEvents() const
     {
         return flushedEvents_ + events_.size();
@@ -206,8 +192,6 @@ class EventTimeline final : public SpanSink
     std::string workloadName_;
     std::string traceKind_;
     std::size_t curEvent_ = 0; //!< index the next record will carry
-    std::size_t eventLimit_ = 0;
-    std::size_t droppedEvents_ = 0;
 
     //!< Records already streamed out (still counted by numEvents()).
     std::size_t flushedEvents_ = 0;
@@ -216,14 +200,6 @@ class EventTimeline final : public SpanSink
 
     struct Stream; //!< ofstream + JsonWriter (defined in the .cc)
     std::unique_ptr<Stream> stream_;
-
-    /** The event limit is reached: later records and their stalls
-     *  and windows are dropped. */
-    bool
-    full() const
-    {
-        return eventLimit_ > 0 && numEvents() >= eventLimit_;
-    }
 
     void renderHeader(JsonWriter &w) const;
     void renderFooter(JsonWriter &w) const;

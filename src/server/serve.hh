@@ -46,15 +46,17 @@ struct ServeSpanOptions
     std::uint64_t anomalyMinSamples = 64;
     /**
      * Flight-recorder dump path prefix; the first anomaly per config
-     * writes `<prefix>.<config>.trace.json`. Empty = no dump files
+     * writes `<prefix>.<config>.trace.json` (`espsim serve
+     * --trace-spans X.json` sets `X.flight`). Empty = no dump files
      * (the detector still records anomalies in the artifact).
      */
     std::string dumpPrefix;
     /** Inject a service-time spike into this event id (tests the
      *  detector end to end); noSpikeEvent = off. */
     std::uint64_t spikeEvent = noSpikeEvent;
-    /** Op-count amplification of the spiked event. */
-    unsigned spikeScale = 16;
+    /** Op-count amplification of the spiked event: large enough that
+     *  the default detector trips on it. */
+    unsigned spikeScale = 100;
 };
 
 /**

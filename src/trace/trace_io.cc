@@ -207,9 +207,16 @@ std::unique_ptr<InMemoryWorkload>
 loadWorkload(const std::string &path)
 {
     std::ifstream in(path, std::ios::binary);
-    if (!in)
-        fatal("cannot open '%s' for reading", path.c_str());
-    return readWorkload(in);
+    if (!in) {
+        logLine(LogLevel::Error, "cannot open trace file '%s'",
+                path.c_str());
+        return nullptr;
+    }
+    auto workload = readWorkload(in);
+    if (!workload)
+        logLine(LogLevel::Error, "malformed trace file '%s'",
+                path.c_str());
+    return workload;
 }
 
 } // namespace espsim

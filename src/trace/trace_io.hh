@@ -45,7 +45,10 @@ bool saveWorkload(const std::string &path, const Workload &workload);
  */
 std::unique_ptr<InMemoryWorkload> readWorkload(std::istream &in);
 
-/** Deserialize from @p path (fatal on open failure). */
+/**
+ * Deserialize from @p path. Returns nullptr, after logging which,
+ * when the file cannot be opened or is malformed.
+ */
 std::unique_ptr<InMemoryWorkload> loadWorkload(const std::string &path);
 
 } // namespace espsim

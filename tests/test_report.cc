@@ -144,6 +144,56 @@ TEST(JsonReader, RejectsMalformedInput)
     EXPECT_FALSE(parseJson("", &err));
 }
 
+TEST(JsonReader, ByteMutationsParseOrAreRejected)
+{
+    // Every truncation, and every byte overwritten by each of a few
+    // bytes that steer the parser (structure, escapes, number parts,
+    // NUL, a stray UTF-8 lead), either parses or is rejected with a
+    // reason; none may crash or read past the text.
+    JsonWriter w;
+    w.beginObject();
+    w.key("schema").value("espsim-span-artifact");
+    w.key("s").value("q\"b\\n\n\xc3\xa9\x01");
+    w.key("nums").beginArray().value(-0.125).value(std::uint64_t{
+        18446744073709551615ull}).value(1e-300).endArray();
+    w.key("nested").beginObject();
+    w.key("ok").value(true);
+    w.key("none").null();
+    w.key("empty").beginArray().endArray();
+    w.endObject();
+    w.endObject();
+    const std::string doc = w.str();
+    ASSERT_TRUE(parseJson(doc));
+
+    std::size_t parsed = 0;
+    std::size_t rejected = 0;
+    const auto check = [&](const std::string &text) {
+        std::string err;
+        if (parseJson(text, &err)) {
+            ++parsed;
+        } else {
+            EXPECT_FALSE(err.empty()) << text;
+            ++rejected;
+        }
+    };
+    for (std::size_t len = 0; len < doc.size(); ++len)
+        check(doc.substr(0, len));
+    const char replacements[] = {'{', '}', '[', ']', '"', '\\', ',',
+                                 ':', '-', 'e', '0', 'u', '\0',
+                                 static_cast<char>(0xc3)};
+    for (std::size_t pos = 0; pos < doc.size(); ++pos) {
+        for (const char byte : replacements) {
+            if (doc[pos] == byte)
+                continue;
+            std::string mutated = doc;
+            mutated[pos] = byte;
+            check(mutated);
+        }
+    }
+    EXPECT_GT(parsed, 0u);
+    EXPECT_GT(rejected, doc.size());
+}
+
 // --------------------------------------------------------------------
 // StatRegistry
 // --------------------------------------------------------------------

@@ -198,7 +198,7 @@ TEST(Telemetry, HeaderCarriesRunIdentityAndSortedNames)
 
     const auto header = parseJson(splitLines(captured).front());
     ASSERT_TRUE(header);
-    EXPECT_EQ(header->at("format_version").number, 1.0);
+    EXPECT_EQ(header->at("format_version").number, 2.0);
     EXPECT_FALSE(header->at("config").string.empty());
     EXPECT_EQ(header->at("workload").string, "amazon-tiny");
     EXPECT_EQ(header->at("period_cycles").number, 5'000.0);

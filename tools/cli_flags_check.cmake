@@ -2,9 +2,9 @@
 # only its own options. A typo or a removed flag must exit exactly 2
 # with "unknown option" on stderr before anything runs, instead of
 # being ignored; so must a word no option takes (a positional app
-# name, or a value after a switch such as --stats). A --trace file
-# that is malformed, or holds an op the packed op storage cannot hold,
-# exits 2 as bad input too.
+# name, or a value after a switch such as --stats), and a NaN or
+# infinite number. A --trace file that is missing, malformed, or holds
+# an op the packed op storage cannot hold, exits 2 as bad input too.
 # Invoked as:
 #   cmake -DESPSIM_CLI=<path> -DWORK_DIR=<dir> [-DPYTHON=<python3>]
 #         -P this-file
@@ -34,6 +34,13 @@ expect_unknown_option(run --app amazon --confg base)
 # Flags the run subcommand no longer has (the interval artifact).
 expect_unknown_option(run --app amazon --sample-events 4)
 expect_unknown_option(run --app amazon --json out.json)
+# Observer tuning flags that were removed (one value was ever used).
+expect_unknown_option(run --app amazon --timeline-limit 10)
+expect_unknown_option(run --app amazon --telemetry-wall-ms 5)
+foreach(flag flight-recorder worst anomaly-threshold anomaly-min
+        flight-dump spike-scale telemetry-wall-ms)
+    expect_unknown_option(serve --profile testsrv --${flag} 8)
+endforeach()
 # A serve-only flag on another subcommand.
 expect_unknown_option(suite --events 100)
 expect_unknown_option(diff a.json b.json --confg base)
@@ -55,9 +62,17 @@ expect_rejected("unexpected argument 'x'" suite --profile x)
 expect_rejected("unexpected argument 'x'" fuzz --verbose x)
 # A numeric option without its number is malformed, not the value 1.
 expect_rejected("invalid value" serve --profile testsrv --events --json)
+# No gap is NaN or infinite (a NaN bursty schedule never ends).
+expect_rejected("invalid value" serve --profile testsrv --gap nan)
+expect_rejected("invalid value" serve --profile testsrv --gap inf)
+expect_rejected("invalid value"
+    serve --profile testsrv --gap nan --arrival bursty)
 
 # Bad trace files.
 file(MAKE_DIRECTORY ${WORK_DIR})
+file(REMOVE ${WORK_DIR}/missing.espw)
+expect_rejected("cannot open trace file"
+    run --trace ${WORK_DIR}/missing.espw)
 file(WRITE ${WORK_DIR}/garbage.espw "not a trace")
 expect_rejected("malformed trace file" run --trace ${WORK_DIR}/garbage.espw)
 # A one-op trace, well formed but for its op's 33-bit pc; the same

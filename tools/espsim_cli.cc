@@ -5,7 +5,6 @@
  *   espsim run   --app amazon --config ESP+NL [--stats]
  *   espsim run   --trace file.espw --config NL+S
  *   espsim run   --app bing --timeline out.trace.json
- *                [--timeline-limit N]
  *   espsim run   --app bing --telemetry-period N
  *                [--telemetry [path]] [--timeline out.trace.json]
  *   espsim suite --configs base,NL,ESP+NL [--jobs N] [--apps a,b]
@@ -14,8 +13,7 @@
  *   espsim serve --profile memcached --events 1000000
  *                [--configs base,ESP+NL] [--arrival poisson]
  *                [--json [path]] [--trace-spans [path]]
- *                [--flight-recorder N] [--anomaly-threshold K]
- *                [--flight-dump PREFIX] [--spike-event N]
+ *                [--spike-event N]
  *                [--telemetry [path]] [--telemetry-period N]
  *   espsim gen   --app gmaps --out gmaps.espw [--events N]
  *   espsim diff  baseline.json candidate.json [--rel-tol F]
@@ -32,9 +30,10 @@
  * notes) goes to stderr. Exit code 0 on success, 1 on usage errors,
  * 2 on an option the subcommand does not accept, a stray word after
  * the subcommand, or a malformed option value (all numeric options
- * are parsed by one checked helper that rejects trailing garbage).
- * `espsim run --trace` exits 2 on a malformed trace file, including
- * one holding an op the simulator's packed op storage cannot hold.
+ * are parsed by one checked helper that rejects trailing garbage and
+ * non-finite numbers). `espsim run --trace` exits 2 on a trace file
+ * it cannot open or that is malformed, including one holding an op
+ * the simulator's packed op storage cannot hold.
  * `espsim diff` exits 0 when the artifacts agree within tolerance,
  * 1 on a headline regression or config mismatch, 2 on load failure.
  * `espsim suite` exits 1 when any sweep cell failed (its artifact
@@ -45,6 +44,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -102,9 +102,7 @@ usage()
         "usage:\n"
         "  espsim run   --app <name>|--trace <file> --config <name> "
         "[--stats] [--timeline <file>]\n"
-        "               [--timeline-limit N] [--telemetry [path]] "
-        "[--telemetry-period N]\n"
-        "               [--telemetry-wall-ms M]\n"
+        "               [--telemetry [path]] [--telemetry-period N]\n"
         "  espsim suite [--configs a,b,c] [--apps a,b] [--jobs N] "
         "[--json [path]] [--csv [path]] [--profile] [--streaming]\n"
         "  espsim serve [--profile memcached|http|testsrv] "
@@ -113,13 +111,8 @@ usage()
         "[--arrival poisson|bursty|closed] [--gap CYCLES]\n"
         "               [--concurrency N] [--think CYCLES] [--seed S] "
         "[--json [path]]\n"
-        "               [--trace-spans [path]] [--flight-recorder N] "
-        "[--anomaly-threshold K]\n"
-        "               [--worst N] [--anomaly-min N] "
-        "[--flight-dump PREFIX]\n"
-        "               [--spike-event N] [--spike-scale S]\n"
-        "               [--telemetry [path]] [--telemetry-period N] "
-        "[--telemetry-wall-ms M]\n"
+        "               [--trace-spans [path]] [--spike-event N]\n"
+        "               [--telemetry [path]] [--telemetry-period N]\n"
         "  espsim report [--dir DIR] [--bench DIR] [--tolerance F] "
         "[--json [path]] [--md [path]]\n"
         "  espsim gen   --app <name> --out <file> [--events N]\n"
@@ -139,7 +132,8 @@ usage()
  * of these instead of raw std::stoul / strtod, so `--events abc` (or
  * `--rel-tol 0.1x`) prints the usage text and exits 2 instead of
  * aborting on an uncaught std::invalid_argument or silently reading
- * a half-parsed value. Trailing garbage is rejected.
+ * a half-parsed value. Trailing garbage is rejected, and so are
+ * `nan` and `inf`, which no option means.
  */
 unsigned long
 parseUnsignedOption(const std::string &value, const char *flag)
@@ -166,9 +160,9 @@ parseDoubleOption(const std::string &value, const char *flag)
     errno = 0;
     const double v = std::strtod(value.c_str(), &end);
     if (value.empty() || end != value.c_str() + value.size() ||
-        errno == ERANGE) {
+        errno == ERANGE || !std::isfinite(v)) {
         logLine(LogLevel::Error,
-                "invalid value '%s' for --%s (expected a number)",
+                "invalid value '%s' for --%s (expected a finite number)",
                 value.c_str(), flag);
         usage();
         std::exit(2);
@@ -236,6 +230,25 @@ artifactPath(const std::map<std::string, std::string> &flags,
     return it->second.empty() ? def : it->second;
 }
 
+/**
+ * The counter time series of `--telemetry [path]` and
+ * `--telemetry-period N`. A stream without a pace would only hold the
+ * final snapshot, so it defaults to a cycle grid coarse enough to be
+ * invisible in the serve overhead gate.
+ */
+ServeTelemetryOptions
+telemetryOptions(const std::map<std::string, std::string> &flags)
+{
+    ServeTelemetryOptions t;
+    t.jsonlPath = artifactPath(flags, "telemetry", "espsim_telemetry.jsonl");
+    if (auto it = flags.find("telemetry-period"); it != flags.end())
+        t.period.periodCycles =
+            parseUnsignedOption(it->second, "telemetry-period");
+    if (!t.jsonlPath.empty() && !t.period.enabled())
+        t.period.periodCycles = 1'000'000;
+    return t;
+}
+
 int
 cmdList()
 {
@@ -264,11 +277,8 @@ cmdRun(const std::map<std::string, std::string> &flags)
     std::unique_ptr<InMemoryWorkload> workload;
     if (auto it = flags.find("trace"); it != flags.end()) {
         workload = loadWorkload(it->second);
-        if (!workload) {
-            logLine(LogLevel::Error, "malformed trace file '%s'",
-                    it->second.c_str());
+        if (!workload)
             return 2;
-        }
     } else {
         const auto app_it = flags.find("app");
         const std::string app =
@@ -280,10 +290,6 @@ cmdRun(const std::map<std::string, std::string> &flags)
     EventTimeline timeline;
     const auto tl_it = flags.find("timeline");
     const bool want_timeline = tl_it != flags.end();
-    if (auto it = flags.find("timeline-limit"); it != flags.end()) {
-        timeline.setEventLimit(static_cast<std::size_t>(
-            parseUnsignedOption(it->second, "timeline-limit")));
-    }
     // Timelines stream to disk record-by-record so a long run never
     // buffers its whole trace; the bytes match buffered rendering.
     if (want_timeline && !timeline.streamTo(tl_it->second)) {
@@ -296,25 +302,17 @@ cmdRun(const std::map<std::string, std::string> &flags)
     inst.timeline = want_timeline ? &timeline : nullptr;
     // Counter time series: the JSONL stream and, with a timeline, its
     // interval.* counter tracks.
+    const ServeTelemetryOptions telemetry = telemetryOptions(flags);
+    inst.telemetry = telemetry.period;
     TelemetryStream telemetry_stream;
-    if (const std::string path =
-            artifactPath(flags, "telemetry", "espsim_telemetry.jsonl");
-        !path.empty()) {
-        if (!telemetry_stream.openFile(path)) {
-            logLine(LogLevel::Error,
-                    "cannot open telemetry stream '%s'", path.c_str());
+    if (!telemetry.jsonlPath.empty()) {
+        if (!telemetry_stream.openFile(telemetry.jsonlPath)) {
+            logLine(LogLevel::Error, "cannot open telemetry stream '%s'",
+                    telemetry.jsonlPath.c_str());
             return 1;
         }
         inst.telemetryStream = &telemetry_stream;
     }
-    if (auto it = flags.find("telemetry-period"); it != flags.end())
-        inst.telemetry.periodCycles =
-            parseUnsignedOption(it->second, "telemetry-period");
-    if (auto it = flags.find("telemetry-wall-ms"); it != flags.end())
-        inst.telemetry.wallMs =
-            parseDoubleOption(it->second, "telemetry-wall-ms");
-    if (inst.telemetryStream != nullptr && !inst.telemetry.enabled())
-        inst.telemetry.periodCycles = 1'000'000;
 
     const SimResult r = Simulator(*config).run(*workload, inst);
     if (inst.telemetryStream != nullptr) {
@@ -543,60 +541,29 @@ cmdServe(const std::map<std::string, std::string> &flags)
     if (auto it = flags.find("seed"); it != flags.end())
         opts.arrival.seed = parseUnsignedOption(it->second, "seed");
 
-    // --- span tracing / flight recorder ------------------------------
-    const bool spans_on = flags.count("trace-spans") > 0;
-    opts.spans.enabled = spans_on;
-    if (auto it = flags.find("flight-recorder"); it != flags.end()) {
-        opts.spans.enabled = true;
-        opts.spans.flightRecorder = static_cast<std::size_t>(
-            parseUnsignedOption(it->second, "flight-recorder"));
-    }
-    if (auto it = flags.find("anomaly-threshold"); it != flags.end()) {
-        opts.spans.enabled = true;
-        opts.spans.anomalyThreshold =
-            parseDoubleOption(it->second, "anomaly-threshold");
-    }
-    if (auto it = flags.find("worst"); it != flags.end())
-        opts.spans.worstK = static_cast<std::size_t>(
-            parseUnsignedOption(it->second, "worst"));
-    if (auto it = flags.find("anomaly-min"); it != flags.end())
-        opts.spans.anomalyMinSamples =
-            parseUnsignedOption(it->second, "anomaly-min");
-    if (auto it = flags.find("flight-dump"); it != flags.end() &&
-        !it->second.empty()) {
-        opts.spans.enabled = true;
-        opts.spans.dumpPrefix = it->second;
+    // --- span tracing: the span artifact at the recorder's default
+    // settings, plus a flight-recorder dump of each config's first
+    // anomaly next to it (X.json -> X.flight.<config>.trace.json).
+    const std::string spans_path =
+        artifactPath(flags, "trace-spans", "espsim_spans.json");
+    opts.spans.enabled = !spans_path.empty();
+    if (opts.spans.enabled) {
+        const std::size_t stem = spans_path.ends_with(".json")
+                                     ? spans_path.size() - 5
+                                     : spans_path.size();
+        opts.spans.dumpPrefix = spans_path.substr(0, stem) + ".flight";
     }
     if (auto it = flags.find("spike-event"); it != flags.end())
         opts.spans.spikeEvent =
             parseUnsignedOption(it->second, "spike-event");
-    if (auto it = flags.find("spike-scale"); it != flags.end()) {
-        const unsigned long s =
-            parseUnsignedOption(it->second, "spike-scale");
-        opts.spans.spikeScale = s >= 2 ? static_cast<unsigned>(s) : 2;
-    }
 
-    // --- counter time series ---------------------------------------
-    opts.telemetry.jsonlPath =
-        artifactPath(flags, "telemetry", "espsim_telemetry.jsonl");
-    if (auto it = flags.find("telemetry-period"); it != flags.end())
-        opts.telemetry.period.periodCycles =
-            parseUnsignedOption(it->second, "telemetry-period");
-    if (auto it = flags.find("telemetry-wall-ms"); it != flags.end())
-        opts.telemetry.period.wallMs =
-            parseDoubleOption(it->second, "telemetry-wall-ms");
-    // A stream without a pace would only hold the final snapshot;
-    // default to a cycle grid coarse enough to be invisible in the
-    // overhead gate. Serve has no timeline, so a pace without a
-    // stream snapshots nothing.
-    if (opts.telemetry.jsonlPath.empty()) {
-        if (opts.telemetry.period.enabled())
-            logLine(LogLevel::Warn,
-                    "--telemetry-period/--telemetry-wall-ms do nothing "
-                    "without --telemetry");
-    } else if (!opts.telemetry.period.enabled()) {
-        opts.telemetry.period.periodCycles = 1'000'000;
-    }
+    // --- counter time series: serve has no timeline, so a pace
+    // without a stream snapshots nothing.
+    opts.telemetry = telemetryOptions(flags);
+    if (opts.telemetry.jsonlPath.empty() &&
+        opts.telemetry.period.enabled())
+        logLine(LogLevel::Warn,
+                "--telemetry-period does nothing without --telemetry");
 
     printRunManifest();
     const auto wall_start = std::chrono::steady_clock::now();
@@ -651,17 +618,13 @@ cmdServe(const std::map<std::string, std::string> &flags)
         logLine(LogLevel::Info, "# wrote %s", path.c_str());
     }
     if (opts.spans.enabled) {
-        const auto it = flags.find("trace-spans");
-        const std::string path =
-            it != flags.end() && !it->second.empty() ? it->second
-                                                     : "espsim_spans.json";
-        if (!writeTextFile(path,
+        if (!writeTextFile(spans_path,
                            renderSpanArtifactJson(manifest, report))) {
             logLine(LogLevel::Error, "cannot write '%s'",
-                    path.c_str());
+                    spans_path.c_str());
             return 1;
         }
-        logLine(LogLevel::Info, "# wrote %s", path.c_str());
+        logLine(LogLevel::Info, "# wrote %s", spans_path.c_str());
     }
     // A stream that failed mid-run still leaves the artifacts, but
     // the run exits non-zero so scripts notice the broken series.
@@ -853,8 +816,8 @@ commands()
                   {}}},
         {"run",
          {cmdRun,
-          {"app", "config", "telemetry", "telemetry-period",
-           "telemetry-wall-ms", "timeline", "timeline-limit", "trace"},
+          {"app", "config", "telemetry", "telemetry-period", "timeline",
+           "trace"},
           {"stats"}}},
         {"suite",
          {cmdSuite,
@@ -862,12 +825,9 @@ commands()
           {"profile", "streaming"}}},
         {"serve",
          {cmdServe,
-          {"anomaly-min", "anomaly-threshold", "arrival",
-           "concurrency", "configs", "events", "flight-dump",
-           "flight-recorder", "gap", "json", "profile", "reservoir",
-           "seed", "spike-event", "spike-scale", "telemetry",
-           "telemetry-period", "telemetry-wall-ms", "think",
-           "trace-spans", "window", "worst"},
+          {"arrival", "concurrency", "configs", "events", "gap", "json",
+           "profile", "reservoir", "seed", "spike-event", "telemetry",
+           "telemetry-period", "think", "trace-spans", "window"},
           {}}},
         {"report",
          {cmdReport, {"bench", "dir", "json", "md", "tolerance"}, {}}},

@@ -1,12 +1,14 @@
-# Flight-recorder overhead gate: the always-on span tracer must stay
-# cheap. Run the same serve workload with the recorder off and on
+# Observer overhead gate: an observer must stay cheap at serve
+# throughput. Run the same serve workload with the observer off and on
 # (best wall time of 3 runs each, read from the "# serve wall" line
-# the CLI prints to stderr) and fail if the recorder-on time exceeds
-# the recorder-off time by more than 10% plus a fixed 40 ms allowance
+# the CLI prints to stderr) and fail if the observer-on time exceeds
+# the observer-off time by more than 10% plus a fixed 40 ms allowance
 # for small-number timing noise. Invoked as:
-#   cmake -DESPSIM_CLI=<path> -DWORK_DIR=<dir> -P this-file
+#   cmake -DESPSIM_CLI=<path> -DWORK_DIR=<dir> -DOBSERVER=<name>
+#         "-DOBSERVER_ARGS=<serve flags that turn it on>" -P this-file
 
 file(MAKE_DIRECTORY ${WORK_DIR})
+separate_arguments(observer_args UNIX_COMMAND "${OBSERVER_ARGS}")
 
 function(run_serve tag extra_args out_var)
     set(best_ms 0)
@@ -34,16 +36,16 @@ function(run_serve tag extra_args out_var)
     set(${out_var} ${best_ms} PARENT_SCOPE)
 endfunction()
 
-run_serve(recorder-off "" off_ms)
-run_serve(recorder-on "--trace-spans;overhead_spans.json" on_ms)
+run_serve(${OBSERVER}-off "" off_ms)
+run_serve(${OBSERVER}-on "${observer_args}" on_ms)
 
 message(STATUS
-    "serve wall: recorder off ${off_ms} ms, recorder on ${on_ms} ms")
+    "serve wall: ${OBSERVER} off ${off_ms} ms, ${OBSERVER} on ${on_ms} ms")
 
 # on <= off * 1.10 + 40 ms, in integer milliseconds.
 math(EXPR bound "${off_ms} + ${off_ms} / 10 + 40")
 if(on_ms GREATER bound)
     message(FATAL_ERROR
-        "span tracing is not cheap: recorder-on wall ${on_ms} ms "
-        "exceeds recorder-off bound ${bound} ms")
+        "${OBSERVER} is not cheap: ${OBSERVER}-on wall ${on_ms} ms "
+        "exceeds ${OBSERVER}-off bound ${bound} ms")
 endif()

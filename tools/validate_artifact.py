@@ -4,8 +4,9 @@
 Checks the schema of the JSON artifacts the simulator's binaries
 write — suite artifacts (espsim suite / figure binaries --json), table
 artifacts (descriptive figures --json), Chrome-trace timelines
-(espsim run --timeline), bench artifacts (espsim bench), latency and
-span artifacts (espsim serve) and observatory reports (espsim report).
+(espsim run --timeline), latency and span artifacts (espsim serve)
+and observatory reports (espsim report), plus the committed bench
+baselines (bench/baselines/).
 Standard library only, so it runs anywhere the repo builds.
 
 Files ending in ``.jsonl`` are treated as telemetry streams — the
@@ -23,6 +24,7 @@ printed one per line as `file: message`.
 """
 
 import json
+import math
 import sys
 
 SUITE_SCHEMA = "espsim-suite-artifact"
@@ -221,9 +223,21 @@ def validate_latency(doc, problems):
     arrival = manifest.get("arrival")
     if not isinstance(arrival, dict):
         _fail(problems, "manifest.arrival missing or not an object")
-    elif arrival.get("kind") not in ("poisson", "bursty", "closed"):
-        _fail(problems, "manifest.arrival.kind is not a known "
-                        "discipline")
+    else:
+        if arrival.get("kind") not in ("poisson", "bursty", "closed"):
+            _fail(problems, "manifest.arrival.kind is not a known "
+                            "discipline")
+        # A NaN or infinite gap renders as null, and a schedule built
+        # from one is meaningless.
+        for key in ("mean_gap_cycles", "burst_gap_factor",
+                    "calm_gap_factor", "mean_burst_cycles",
+                    "mean_calm_cycles"):
+            value = arrival.get(key)
+            if (isinstance(value, bool)
+                    or not isinstance(value, (int, float))
+                    or not math.isfinite(value) or value < 0):
+                _fail(problems, f"manifest.arrival.{key} is not a "
+                                "finite non-negative number")
     results = doc.get("results")
     if not isinstance(results, list) or not results:
         return _fail(problems, "results missing or empty")
@@ -470,7 +484,8 @@ def _check_telemetry_header(doc, where, problems):
         _fail(problems, f"{where}: expected a block header with "
                         f"schema {TELEMETRY_SCHEMA!r}")
         return None
-    if doc.get("format_version") not in SUPPORTED_FORMAT_VERSIONS:
+    # Version 2 dropped the header's wall_ms: pacing is by cycles only.
+    if doc.get("format_version") != 2:
         _fail(problems, f"{where}: unsupported format_version")
     for key in ("config", "workload"):
         if not isinstance(doc.get(key), str) or not doc[key]:
@@ -480,11 +495,10 @@ def _check_telemetry_header(doc, where, problems):
             or any(c not in "0123456789abcdef" for c in config_hash)):
         _fail(problems, f"{where}: config_hash is not a 16-digit "
                         "lowercase hex string")
-    for key in ("period_cycles", "wall_ms"):
-        value = doc.get(key)
-        if not isinstance(value, (int, float)) or value < 0:
-            _fail(problems,
-                  f"{where}: {key} is not a non-negative number")
+    period = doc.get("period_cycles")
+    if not isinstance(period, int) or period < 0:
+        _fail(problems,
+              f"{where}: period_cycles is not a non-negative integer")
     names = doc.get("names")
     if not isinstance(names, list) or not names \
             or not all(isinstance(n, str) and n for n in names):
