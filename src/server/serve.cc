@@ -286,6 +286,12 @@ writeManifestCommon(JsonWriter &w, const ArtifactManifest &manifest,
     for (const std::string &name : report.configNames)
         w.value(name);
     w.endArray();
+    if (report.spans.spikeEvent != noSpikeEvent) {
+        w.key("spike_event")
+            .value(std::uint64_t{report.spans.spikeEvent});
+        w.key("spike_scale")
+            .value(std::uint64_t{report.spans.spikeScale});
+    }
 }
 
 void
@@ -387,12 +393,6 @@ renderSpanArtifactJson(const ArtifactManifest &manifest,
     w.key("anomaly_threshold").value(report.spans.anomalyThreshold);
     w.key("anomaly_min_samples")
         .value(std::uint64_t{report.spans.anomalyMinSamples});
-    if (report.spans.spikeEvent != noSpikeEvent) {
-        w.key("spike_event")
-            .value(std::uint64_t{report.spans.spikeEvent});
-        w.key("spike_scale")
-            .value(std::uint64_t{report.spans.spikeScale});
-    }
     w.endObject();
 
     w.key("results").beginArray();

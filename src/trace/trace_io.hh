@@ -5,6 +5,11 @@
  * tool that tags event boundaries), write it in this format, and replay
  * it through every simulator configuration.
  *
+ * Code addresses are 32-bit: the reader rejects any op whose pc or
+ * branch target is 2^32 or above, so a capture from a 64-bit process
+ * must rebase its code addresses below 2^32 (e.g., as offsets from
+ * the lowest mapped code address). Memory addresses stay 64-bit.
+ *
  * Format (little-endian, versioned):
  *   header   : magic "ESPW", u32 version, u32 event count,
  *              u32 warm-range count, u64 name length + bytes

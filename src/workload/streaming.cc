@@ -12,7 +12,7 @@ StreamingWorkload::StreamingWorkload(
     : source_(std::move(source)),
       name_(source_->name()),
       numEvents_(source_->numEvents()),
-      window_(std::max<std::size_t>(window, 4))
+      window_(std::max(window, minWindow))
 {
 }
 

@@ -5,10 +5,9 @@
  * multi-million-event runs hold only a bounded sliding window of
  * traces resident — peak RSS is flat in the stream length.
  *
- * This generalises the LazyWorkload cache (which is now a thin adapter
- * over a SyntheticGenerator-backed source): any deterministic
- * id -> EventTrace function can feed the simulator, including the
- * request-serving profiles in src/server/.
+ * Any deterministic id -> EventTrace function can feed the simulator:
+ * a GeneratorSource replays a browser profile in bounded memory, and a
+ * ServerTraceSource the request-serving profiles in src/server/.
  *
  * Retired traces are recycled through a small free list: the next
  * generated event is move-assigned into a retired EventTrace object,
@@ -21,12 +20,12 @@
  * place the streaming loop allocates (see tests/test_streaming.cc for
  * the ESPSIM_ALLOC_COUNTER assertions).
  *
- * Concurrency contract is identical to the old LazyWorkload: safe to
- * share across concurrently replaying simulators; the cache is
- * mutex-guarded and each reader thread pins its recent window, so
- * eviction by a fast thread never invalidates a reference a lagging
- * thread still holds. The Workload reference-validity contract
- * (valid until idx + 3 is requested) is honoured per calling thread.
+ * Concurrency contract: safe to share across concurrently replaying
+ * simulators; the cache is mutex-guarded and each reader thread pins
+ * its recent window, so eviction by a fast thread never invalidates a
+ * reference a lagging thread still holds. The Workload
+ * reference-validity contract (valid until idx + 3 is requested) is
+ * honoured per calling thread.
  */
 
 #ifndef ESPSIM_WORKLOAD_STREAMING_HH
@@ -102,7 +101,10 @@ class GeneratorSource : public EventSource
 class StreamingWorkload : public Workload
 {
   public:
-    /** @p window traces are kept resident (>= 4 per the contract). */
+    /** The smallest window; a smaller one is raised to it. */
+    static constexpr std::size_t minWindow = 4;
+
+    /** @p window traces are kept resident (at least minWindow). */
     explicit StreamingWorkload(std::unique_ptr<const EventSource> source,
                                std::size_t window = 8);
 

@@ -1,15 +1,17 @@
 /**
  * @file
- * Tests for the lazy, memory-bounded workload: equivalence with the
- * eager generator, cache-window behaviour, reference stability over
- * the simulator's access pattern, and end-to-end bit-identical
- * simulation.
+ * Tests for the lazy, memory-bounded workload (a StreamingWorkload
+ * over a GeneratorSource): equivalence with the eager generator,
+ * cache-window behaviour, reference stability over the simulator's
+ * access pattern, and end-to-end bit-identical simulation.
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "sim/simulator.hh"
-#include "workload/lazy.hh"
+#include "workload/streaming.hh"
 
 using namespace espsim;
 
@@ -29,7 +31,7 @@ smallProfile()
 TEST(Lazy, MatchesEagerGeneration)
 {
     const AppProfile p = smallProfile();
-    LazyWorkload lazy(p);
+    StreamingWorkload lazy(std::make_unique<GeneratorSource>(p));
     const auto eager = SyntheticGenerator(p).generate();
     ASSERT_EQ(lazy.numEvents(), eager->numEvents());
     for (std::size_t i = 0; i < lazy.numEvents(); ++i) {
@@ -45,7 +47,8 @@ TEST(Lazy, MatchesEagerGeneration)
 
 TEST(Lazy, CacheStaysBounded)
 {
-    LazyWorkload lazy(smallProfile(), 4);
+    StreamingWorkload lazy(
+        std::make_unique<GeneratorSource>(smallProfile()), 4);
     for (std::size_t i = 0; i < lazy.numEvents(); ++i) {
         (void)lazy.event(i);
         if (i + 2 < lazy.numEvents()) {
@@ -58,7 +61,8 @@ TEST(Lazy, CacheStaysBounded)
 
 TEST(Lazy, SequentialPassGeneratesEachEventOnce)
 {
-    LazyWorkload lazy(smallProfile(), 8);
+    StreamingWorkload lazy(
+        std::make_unique<GeneratorSource>(smallProfile()), 8);
     for (std::size_t i = 0; i < lazy.numEvents(); ++i)
         (void)lazy.event(i);
     EXPECT_EQ(lazy.generations(), lazy.numEvents());
@@ -66,7 +70,8 @@ TEST(Lazy, SequentialPassGeneratesEachEventOnce)
 
 TEST(Lazy, LookaheadReferencesStayValid)
 {
-    LazyWorkload lazy(smallProfile(), 6);
+    StreamingWorkload lazy(
+        std::make_unique<GeneratorSource>(smallProfile()), 6);
     const EventTrace &current = lazy.event(5);
     const Addr pc = current.ops[0].pc;
     (void)lazy.event(6);
@@ -77,7 +82,8 @@ TEST(Lazy, LookaheadReferencesStayValid)
 
 TEST(Lazy, RandomRevisitRegeneratesIdentically)
 {
-    LazyWorkload lazy(smallProfile(), 4);
+    StreamingWorkload lazy(
+        std::make_unique<GeneratorSource>(smallProfile()), 4);
     const std::size_t probe = 2;
     const std::size_t len_first = lazy.event(probe).size();
     // March far enough ahead that the probe event is evicted...
@@ -91,7 +97,7 @@ TEST(Lazy, RandomRevisitRegeneratesIdentically)
 TEST(Lazy, SimulatesIdenticallyToEager)
 {
     const AppProfile p = smallProfile();
-    LazyWorkload lazy(p);
+    StreamingWorkload lazy(std::make_unique<GeneratorSource>(p));
     const auto eager = SyntheticGenerator(p).generate();
     const SimResult a = Simulator(SimConfig::espFull(true)).run(lazy);
     const SimResult b = Simulator(SimConfig::espFull(true)).run(*eager);
@@ -102,6 +108,7 @@ TEST(Lazy, SimulatesIdenticallyToEager)
 
 TEST(LazyDeathTest, OutOfRangePanics)
 {
-    LazyWorkload lazy(smallProfile());
+    StreamingWorkload lazy(
+        std::make_unique<GeneratorSource>(smallProfile()));
     EXPECT_DEATH((void)lazy.event(999), "out of range");
 }

@@ -21,7 +21,7 @@
 #include "common/job_pool.hh"
 #include "report/artifact.hh"
 #include "sim/stats_report.hh"
-#include "workload/lazy.hh"
+#include "workload/streaming.hh"
 
 using namespace espsim;
 
@@ -169,7 +169,7 @@ TEST(ParallelSweep, SharedLazyWorkloadConcurrentReplay)
     p.numEvents = 30;
 
     // Serial references from a private lazy workload.
-    LazyWorkload ref_workload(p);
+    StreamingWorkload ref_workload(std::make_unique<GeneratorSource>(p));
     const SimResult ref_a =
         Simulator(SimConfig::espFull(true)).run(ref_workload);
     const SimResult ref_b =
@@ -177,7 +177,7 @@ TEST(ParallelSweep, SharedLazyWorkloadConcurrentReplay)
 
     // Two simulators race over ONE lazy workload: the cache must not
     // let one thread's eviction invalidate the other's references.
-    LazyWorkload shared(p);
+    StreamingWorkload shared(std::make_unique<GeneratorSource>(p));
     SimResult par_a, par_b;
     std::thread ta([&] {
         par_a = Simulator(SimConfig::espFull(true)).run(shared);
@@ -198,7 +198,7 @@ TEST(ParallelSweep, LazyCacheStaysBoundedUnderConcurrency)
 {
     AppProfile p = AppProfile::testProfile();
     p.numEvents = 40;
-    LazyWorkload shared(p, 6);
+    StreamingWorkload shared(std::make_unique<GeneratorSource>(p), 6);
 
     auto scan = [&shared] {
         for (std::size_t i = 0; i < shared.numEvents(); ++i)

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/histogram.hh"
@@ -349,6 +350,35 @@ TEST(Serve, LatencyArtifactIsDeterministic)
     EXPECT_EQ(a, b);
     EXPECT_NE(a.find("\"schema\":\"espsim-latency-artifact\""),
               std::string::npos);
+}
+
+TEST(Serve, SpikedRunNamesItsSpikeInTheLatencyArtifact)
+{
+    ArtifactManifest manifest;
+    manifest.source = "test";
+    manifest.toolVersion = "test";
+    manifest.buildType = "test";
+    ServeOptions opts;
+    opts.events = 200;
+    opts.arrival.meanGapCycles = 2000.0;
+    const std::vector<SimConfig> configs{SimConfig::baseline()};
+    const std::string quiet = renderLatencyArtifactJson(
+        manifest,
+        runServe(ServerProfile::testProfile(), configs, opts));
+    opts.spans.spikeEvent = 150;
+    const std::string spiked = renderLatencyArtifactJson(
+        manifest,
+        runServe(ServerProfile::testProfile(), configs, opts));
+
+    // An unspiked artifact carries no spike keys at all, so its bytes
+    // do not depend on the spike hook existing.
+    EXPECT_EQ(quiet.find("spike_"), std::string::npos);
+    EXPECT_NE(spiked.find("\"spike_event\":150"), std::string::npos);
+    EXPECT_NE(spiked.find("\"spike_scale\":" +
+                          std::to_string(opts.spans.spikeScale)),
+              std::string::npos);
+    // Both keys sit in the manifest, ahead of the results.
+    EXPECT_LT(spiked.find("spike_event"), spiked.find("\"results\""));
 }
 
 TEST(Serve, LatencySummariesAreInternallyConsistent)

@@ -14,7 +14,6 @@
 
 #include "common/alloc_counter.hh"
 #include "sim/simulator.hh"
-#include "workload/lazy.hh"
 #include "workload/streaming.hh"
 
 using namespace espsim;
@@ -98,19 +97,6 @@ TEST(Streaming, LookaheadReferenceSurvivesContractWindow)
     (void)w.event(8); // the contract's idx + 3
     EXPECT_EQ(current.ops[0].pc, pc);
     EXPECT_EQ(current.size(), len);
-}
-
-TEST(Streaming, LazyWorkloadIsAThinAdapter)
-{
-    const AppProfile p = smallProfile();
-    LazyWorkload lazy(p, 6);
-    StreamingWorkload streamed(std::make_unique<GeneratorSource>(p), 6);
-    // The adapter must be the streaming core, not a parallel
-    // implementation: same type, same behaviour.
-    static_assert(std::is_base_of_v<StreamingWorkload, LazyWorkload>);
-    ASSERT_EQ(lazy.numEvents(), streamed.numEvents());
-    for (std::size_t i = 0; i < lazy.numEvents(); ++i)
-        ASSERT_EQ(lazy.event(i).size(), streamed.event(i).size()) << i;
 }
 
 TEST(Streaming, SimulatesIdenticallyToMaterialized)

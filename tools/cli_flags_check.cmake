@@ -2,9 +2,10 @@
 # only its own options. A typo or a removed flag must exit exactly 2
 # with "unknown option" on stderr before anything runs, instead of
 # being ignored; so must a word no option takes (a positional app
-# name, or a value after a switch such as --stats), and a NaN or
-# infinite number. A --trace file that is missing, malformed, or holds
-# an op the packed op storage cannot hold, exits 2 as bad input too.
+# name, or a value after a switch such as --stats), a NaN or infinite
+# number, and a serve --spike-event or --window the run would change.
+# A --trace file that is missing, malformed, or holds an op the packed
+# op storage cannot hold, exits 2 as bad input too.
 # Invoked as:
 #   cmake -DESPSIM_CLI=<path> -DWORK_DIR=<dir> [-DPYTHON=<python3>]
 #         -P this-file
@@ -45,14 +46,18 @@ endforeach()
 expect_unknown_option(suite --events 100)
 expect_unknown_option(diff a.json b.json --confg base)
 
-# `bench` is no subcommand (espbench measures throughput): usage on
-# stdout and exit 1, like any unknown subcommand.
-execute_process(COMMAND ${ESPSIM_CLI} bench
-    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_QUIET)
-if(NOT rc EQUAL 1 OR NOT out MATCHES "usage:" OR out MATCHES "espsim bench")
-    message(FATAL_ERROR "espsim bench: expected the usage text and exit 1, "
-        "got '${rc}': ${out}")
-endif()
+# `bench` and `report` are no subcommands (espbench measures
+# throughput, `espsim diff` compares two runs): usage on stdout and
+# exit 1, like any unknown subcommand.
+foreach(removed bench report)
+    execute_process(COMMAND ${ESPSIM_CLI} ${removed}
+        RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_QUIET)
+    if(NOT rc EQUAL 1 OR NOT out MATCHES "usage:"
+            OR out MATCHES "espsim ${removed}")
+        message(FATAL_ERROR "espsim ${removed}: expected the usage text "
+            "and exit 1, got '${rc}': ${out}")
+    endif()
+endforeach()
 
 # A positional app name is not --app: it must not run the default app.
 expect_rejected("unexpected argument 'bing'" run bing --config base)
@@ -67,6 +72,14 @@ expect_rejected("invalid value" serve --profile testsrv --gap nan)
 expect_rejected("invalid value" serve --profile testsrv --gap inf)
 expect_rejected("invalid value"
     serve --profile testsrv --gap nan --arrival bursty)
+# A value the run would silently change: a spike past the last event
+# injects nothing, and a window below 4 is raised to 4.
+expect_rejected("invalid value '900' for --spike-event"
+    serve --profile testsrv --events 400 --spike-event 900)
+expect_rejected("invalid value '400' for --spike-event"
+    serve --profile testsrv --events 400 --spike-event 400)
+expect_rejected("invalid value '2' for --window"
+    serve --profile testsrv --events 400 --window 2)
 
 # Bad trace files.
 file(MAKE_DIRECTORY ${WORK_DIR})

@@ -64,13 +64,13 @@
 #include "report/artifact.hh"
 #include "report/diff.hh"
 #include "report/host_profile.hh"
-#include "report/observatory.hh"
 #include "report/telemetry.hh"
 #include "report/timeline.hh"
 #include "server/serve.hh"
 #include "sim/stats_report.hh"
 #include "trace/trace_io.hh"
 #include "workload/generator.hh"
+#include "workload/streaming.hh"
 
 using namespace espsim;
 
@@ -113,8 +113,6 @@ usage()
         "[--json [path]]\n"
         "               [--trace-spans [path]] [--spike-event N]\n"
         "               [--telemetry [path]] [--telemetry-period N]\n"
-        "  espsim report [--dir DIR] [--bench DIR] [--tolerance F] "
-        "[--json [path]] [--md [path]]\n"
         "  espsim gen   --app <name> --out <file> [--events N]\n"
         "  espsim diff  <baseline.json> <candidate.json> "
         "[--rel-tol F] [--abs-tol F]\n"
@@ -510,9 +508,19 @@ cmdServe(const std::map<std::string, std::string> &flags)
     if (auto it = flags.find("events"); it != flags.end())
         opts.events = static_cast<std::size_t>(
             parseUnsignedOption(it->second, "events"));
-    if (auto it = flags.find("window"); it != flags.end())
+    if (auto it = flags.find("window"); it != flags.end()) {
         opts.window = static_cast<std::size_t>(
             parseUnsignedOption(it->second, "window"));
+        // The workload would raise it, and the artifact misreport it.
+        if (opts.window < StreamingWorkload::minWindow) {
+            logLine(LogLevel::Error,
+                    "invalid value '%s' for --window (expected at "
+                    "least %zu)",
+                    it->second.c_str(), StreamingWorkload::minWindow);
+            usage();
+            return 2;
+        }
+    }
     if (auto it = flags.find("reservoir"); it != flags.end())
         opts.reservoirCapacity = static_cast<std::size_t>(
             parseUnsignedOption(it->second, "reservoir"));
@@ -553,9 +561,21 @@ cmdServe(const std::map<std::string, std::string> &flags)
                                      : spans_path.size();
         opts.spans.dumpPrefix = spans_path.substr(0, stem) + ".flight";
     }
-    if (auto it = flags.find("spike-event"); it != flags.end())
+    if (auto it = flags.find("spike-event"); it != flags.end()) {
         opts.spans.spikeEvent =
             parseUnsignedOption(it->second, "spike-event");
+        // A spike past the last event would inject nothing.
+        const std::size_t events =
+            opts.events > 0 ? opts.events : profile.app.numEvents;
+        if (opts.spans.spikeEvent >= events) {
+            logLine(LogLevel::Error,
+                    "invalid value '%s' for --spike-event (expected an "
+                    "event index below %zu)",
+                    it->second.c_str(), events);
+            usage();
+            return 2;
+        }
+    }
 
     // --- counter time series: serve has no timeline, so a pace
     // without a stream snapshots nothing.
@@ -724,78 +744,6 @@ cmdFuzz(const std::map<std::string, std::string> &flags)
     return runFuzz(opts);
 }
 
-/**
- * `espsim report` — the cross-run observatory. Ingests a directory of
- * espsim artifacts (plus, optionally, the committed bench baselines),
- * joins them by config hash, and prints the perf trajectory with
- * regression flags. Runs follow each directory's INDEX (see
- * report/observatory.hh), so adding a baseline means committing it and
- * appending its name to bench/baselines/INDEX. Exit 0 when clean, 1
- * when any trend regressed beyond tolerance, 2 when a directory cannot
- * be read or no artifact was ingested.
- */
-int
-cmdReport(const std::map<std::string, std::string> &flags)
-{
-    // History first, so a group's last run is the newest one.
-    std::vector<std::string> dirs;
-    if (auto it = flags.find("bench"); it != flags.end() &&
-        !it->second.empty())
-        dirs.push_back(it->second);
-    if (auto it = flags.find("dir"); it != flags.end() &&
-        !it->second.empty())
-        dirs.push_back(it->second);
-    else
-        dirs.push_back(".");
-    double tolerance = 0.10;
-    if (auto it = flags.find("tolerance"); it != flags.end())
-        tolerance = parseDoubleOption(it->second, "tolerance");
-
-    const ObservatoryReport report =
-        buildObservatoryReport(dirs, tolerance);
-    if (report.unreadableDirs > 0 || report.runs.empty()) {
-        for (const std::string &skipped : report.skipped)
-            logLine(LogLevel::Error, "skipped %s", skipped.c_str());
-        logLine(LogLevel::Error,
-                "report: %zu artifact(s) ingested, %zu unreadable "
-                "dir(s)",
-                report.runs.size(), report.unreadableDirs);
-        return 2;
-    }
-    const std::string markdown = renderObservatoryMarkdown(report);
-
-    if (const std::string path =
-            artifactPath(flags, "md", "espsim_observatory.md");
-        !path.empty()) {
-        if (!writeTextFile(path, markdown)) {
-            logLine(LogLevel::Error, "cannot write '%s'",
-                    path.c_str());
-            return 1;
-        }
-        logLine(LogLevel::Info, "# wrote %s", path.c_str());
-    } else {
-        std::fputs(markdown.c_str(), stdout);
-    }
-    if (const std::string path =
-            artifactPath(flags, "json", "espsim_observatory.json");
-        !path.empty()) {
-        if (!writeTextFile(path, renderObservatoryJson(report))) {
-            logLine(LogLevel::Error, "cannot write '%s'",
-                    path.c_str());
-            return 1;
-        }
-        logLine(LogLevel::Info, "# wrote %s", path.c_str());
-    }
-    if (report.regressions > 0) {
-        logLine(LogLevel::Warn,
-                "# observatory: %zu trend(s) regressed beyond "
-                "%.0f%% tolerance",
-                report.regressions, tolerance * 100);
-        return 1;
-    }
-    return 0;
-}
-
 /** A flag-parsed subcommand and the options it accepts. */
 struct Command
 {
@@ -829,8 +777,6 @@ commands()
            "profile", "reservoir", "seed", "spike-event", "telemetry",
            "telemetry-period", "think", "trace-spans", "window"},
           {}}},
-        {"report",
-         {cmdReport, {"bench", "dir", "json", "md", "tolerance"}, {}}},
         {"gen", {cmdGen, {"app", "events", "out"}, {}}},
         {"fuzz", {cmdFuzz, {"runs", "seed"}, {"verbose"}}},
     };
