@@ -13,9 +13,10 @@
  * Every figure binary also accepts `--version` (print the build
  * manifest and exit), `--json [path]` and `--csv [path]` (export the
  * full per-(app, config) stat dump as a versioned artifact; the
- * default path is BENCH_<fig>.json / .csv). The ASCII tables on
- * stdout are untouched; run chatter (manifest, progress, wall time)
- * goes to stderr. See docs/OBSERVABILITY.md.
+ * default path is BENCH_<fig>.json / .csv) and `--log-level <name>`.
+ * Anything else exits 2 with a usage line. The ASCII tables on stdout
+ * are untouched; run chatter (manifest, progress, wall time) goes to
+ * stderr. See docs/OBSERVABILITY.md.
  */
 
 #ifndef ESPSIM_BENCH_BENCH_UTIL_HH
@@ -37,37 +38,12 @@
 namespace espsim::benchutil
 {
 
-/**
- * Degree of parallelism requested on a figure binary's command line:
- * the value of `--jobs N` if present, else 0 (auto — SuiteRunner
- * resolves it to ESPSIM_JOBS or hardware_concurrency).
- */
-inline unsigned
-jobsFromArgs(int argc, char **argv)
-{
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--jobs") != 0)
-            continue;
-        char *end = nullptr;
-        const long v = std::strtol(argv[i + 1], &end, 10);
-        if (end == argv[i + 1] || *end != '\0') {
-            logLine(LogLevel::Error,
-                    "invalid value '%s' for --jobs (expected a "
-                    "positive integer)",
-                    argv[i + 1]);
-            std::exit(2);
-        }
-        return v >= 1 ? static_cast<unsigned>(v) : 1;
-    }
-    return 0;
-}
-
-/** SuiteRunner over the paper suite, parallelism from the CLI. */
+/** SuiteRunner over the paper suite at @p jobs (0 = auto). */
 inline SuiteRunner
-makeSuiteRunner(int argc, char **argv)
+makeSuiteRunner(unsigned jobs)
 {
     SuiteRunner runner;
-    runner.setJobs(jobsFromArgs(argc, argv));
+    runner.setJobs(jobs);
     return runner;
 }
 
@@ -82,11 +58,25 @@ struct ReportOptions
         std::chrono::steady_clock::now();
 };
 
+/** Print @p source's usage line to stderr and exit 2. */
+[[noreturn]] inline void
+usageExit(const std::string &source)
+{
+    logLine(LogLevel::Error,
+            "usage: %s [--jobs N] [--json [path]] [--csv [path]] "
+            "[--version] [--log-level error|warn|info|debug]",
+            source.c_str());
+    std::exit(2);
+}
+
 /**
- * Handle the flags every figure binary shares. Exits after printing
- * the build manifest when `--version` is given; otherwise parses
- * `--json [path]` / `--csv [path]` (default `BENCH_<tag>.json|csv`
- * when no path follows the flag) and prints the run manifest — tool
+ * Handle the flags every figure binary shares, and only those: `--jobs
+ * N` (a positive integer; absent = auto, which SuiteRunner resolves to
+ * ESPSIM_JOBS or hardware_concurrency), `--json [path]` / `--csv
+ * [path]` (default `BENCH_<tag>.json|csv` when no path follows the
+ * flag), `--version` (print the build manifest and exit 0) and
+ * `--log-level <name>`. Any other word, or a malformed value, prints
+ * the usage line and exits 2. Then prints the run manifest — tool
  * version, build type, requested jobs — to stderr. Volatile facts
  * like jobs and wall time stay on stderr so the artifacts themselves
  * are byte-identical at any `--jobs` count.
@@ -97,21 +87,46 @@ reportSetup(int argc, char **argv, const std::string &source,
 {
     ReportOptions opts;
     opts.source = source;
-    opts.jobs = jobsFromArgs(argc, argv);
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--version") == 0) {
+        const char *arg = argv[i];
+        const char *next = i + 1 < argc ? argv[i + 1] : nullptr;
+        const bool has_path = next && next[0] != '-';
+        if (std::strcmp(arg, "--version") == 0) {
             std::printf("%s %s (%s build)\n", source.c_str(),
                         versionString(), buildTypeString());
             std::exit(0);
-        }
-        const bool has_path =
-            i + 1 < argc && argv[i + 1][0] != '-';
-        if (std::strcmp(argv[i], "--json") == 0)
+        } else if (std::strcmp(arg, "--json") == 0) {
             opts.jsonPath = has_path ? argv[++i]
                                      : "BENCH_" + tag + ".json";
-        else if (std::strcmp(argv[i], "--csv") == 0)
+        } else if (std::strcmp(arg, "--csv") == 0) {
             opts.csvPath = has_path ? argv[++i]
                                     : "BENCH_" + tag + ".csv";
+        } else if (std::strcmp(arg, "--jobs") == 0) {
+            char *end = nullptr;
+            const long v = next ? std::strtol(next, &end, 10) : 0;
+            if (!next || end == next || *end != '\0' || v < 1) {
+                logLine(LogLevel::Error,
+                        "invalid value '%s' for --jobs (expected a "
+                        "positive integer)",
+                        next ? next : "");
+                usageExit(source);
+            }
+            opts.jobs = static_cast<unsigned>(v);
+            ++i;
+        } else if (std::strcmp(arg, "--log-level") == 0) {
+            LogLevel level;
+            if (!next || !parseLogLevel(next, level)) {
+                logLine(LogLevel::Error,
+                        "invalid value '%s' for --log-level",
+                        next ? next : "");
+                usageExit(source);
+            }
+            setLogLevel(level);
+            ++i;
+        } else {
+            logLine(LogLevel::Error, "unknown argument '%s'", arg);
+            usageExit(source);
+        }
     }
     if (opts.jobs == 0)
         logLine(LogLevel::Info, "# %s %s (%s build), jobs=auto",

@@ -65,7 +65,7 @@ main(int argc, char **argv)
                 [](EspConfig &c) { c.maxPreExecPerEvent /= 3; }),
     };
 
-    const SuiteRunner runner = benchutil::makeSuiteRunner(argc, argv);
+    const SuiteRunner runner = benchutil::makeSuiteRunner(report.jobs);
     const auto rows = runner.run(configs);
 
     benchutil::printImprovementFigure(

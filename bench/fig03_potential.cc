@@ -26,7 +26,7 @@ main(int argc, char **argv)
         SimConfig::perfect(true, true, true),
     };
 
-    const SuiteRunner runner = benchutil::makeSuiteRunner(argc, argv);
+    const SuiteRunner runner = benchutil::makeSuiteRunner(report.jobs);
     const auto rows = runner.run(configs);
 
     benchutil::printImprovementFigure(

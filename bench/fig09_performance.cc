@@ -30,7 +30,7 @@ main(int argc, char **argv)
         SimConfig::espFull(true),
     };
 
-    const SuiteRunner runner = benchutil::makeSuiteRunner(argc, argv);
+    const SuiteRunner runner = benchutil::makeSuiteRunner(report.jobs);
     const auto rows = runner.run(configs);
 
     benchutil::printImprovementFigure(

@@ -25,7 +25,7 @@ main(int argc, char **argv)
         SimConfig::espAblation(true, true, true),    // ESP-I,B,D + NL
     };
 
-    const SuiteRunner runner = benchutil::makeSuiteRunner(argc, argv);
+    const SuiteRunner runner = benchutil::makeSuiteRunner(report.jobs);
     const auto rows = runner.run(configs);
 
     benchutil::printImprovementFigure(

@@ -29,7 +29,7 @@ main(int argc, char **argv)
         SimConfig::espDataOnly(true, true), // ideal
     };
 
-    const SuiteRunner runner = benchutil::makeSuiteRunner(argc, argv);
+    const SuiteRunner runner = benchutil::makeSuiteRunner(report.jobs);
     const auto rows = runner.run(configs);
 
     benchutil::printFigure(

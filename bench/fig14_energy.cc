@@ -27,7 +27,7 @@ main(int argc, char **argv)
         SimConfig::espFull(true), // ESP + NL
     };
 
-    const SuiteRunner runner = benchutil::makeSuiteRunner(argc, argv);
+    const SuiteRunner runner = benchutil::makeSuiteRunner(report.jobs);
     const auto rows = runner.run(configs);
 
     TextTable table("Figure 14: Energy relative to NL");

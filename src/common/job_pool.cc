@@ -39,13 +39,6 @@ JobPool::~JobPool()
         worker.join();
 }
 
-void
-JobPool::setSoftTimeout(std::chrono::milliseconds timeout)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    softTimeout_ = timeout;
-}
-
 std::size_t
 JobPool::droppedExceptions() const
 {
@@ -53,61 +46,22 @@ JobPool::droppedExceptions() const
     return droppedErrors_;
 }
 
-JobPoolUsage
-JobPool::usage() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    JobPoolUsage u;
-    u.jobsCompleted = jobsCompleted_;
-    u.queueDepthHighWater = queueHighWater_;
-    u.busyMs = busyMs_;
-    u.threads = threads_;
-    if (sawWork_) {
-        u.wallMs = std::chrono::duration<double, std::milli>(
-                       lastDone_ - firstSubmit_)
-                       .count();
-    }
-    return u;
-}
-
 void
 JobPool::runGuarded(std::function<void()> &job)
 {
-    std::chrono::milliseconds timeout{0};
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        timeout = softTimeout_;
-    }
-    const auto start = std::chrono::steady_clock::now();
     std::exception_ptr error;
     try {
         job();
     } catch (...) {
         error = std::current_exception();
     }
-    const auto finish = std::chrono::steady_clock::now();
-    const auto elapsed =
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            finish - start);
-    if (timeout.count() > 0 && elapsed > timeout) {
-        warn("job ran %lld ms, exceeding the %lld ms soft timeout",
-             static_cast<long long>(elapsed.count()),
-             static_cast<long long>(timeout.count()));
-    }
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++jobsCompleted_;
-        busyMs_ += std::chrono::duration<double, std::milli>(
-                       finish - start)
-                       .count();
-        lastDone_ = finish;
-        if (error) {
-            if (firstError_)
-                ++droppedErrors_;
-            else
-                firstError_ = error;
-        }
-    }
+    if (!error)
+        return;
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (firstError_)
+        ++droppedErrors_;
+    else
+        firstError_ = error;
 }
 
 void
@@ -116,24 +70,12 @@ JobPool::submit(std::function<void()> job)
     if (workers_.empty()) {
         // jobs=1: execute in submission order, old serial path — but
         // under the same exception contract as the threaded pool.
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (!sawWork_) {
-                sawWork_ = true;
-                firstSubmit_ = std::chrono::steady_clock::now();
-            }
-        }
         runGuarded(job);
         return;
     }
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        if (!sawWork_) {
-            sawWork_ = true;
-            firstSubmit_ = std::chrono::steady_clock::now();
-        }
         queue_.push_back(std::move(job));
-        queueHighWater_ = std::max(queueHighWater_, queue_.size());
     }
     work_cv_.notify_one();
 }

@@ -11,10 +11,10 @@
  *
  * Artifacts are **deterministic and byte-identical at any `--jobs`
  * count**: results are index-ordered, stat maps are name-ordered, and
- * numbers use shortest-round-trip formatting. Volatile run facts
- * (jobs, wall time) are therefore *not* embedded in the artifact; they
- * are printed to stderr as the run manifest instead (see
- * docs/OBSERVABILITY.md).
+ * numbers use shortest-round-trip formatting. Host facts (jobs, wall
+ * time, peak RSS) are never embedded in the artifact; the run manifest
+ * on stderr names the jobs count, and host time is the benchmark's
+ * to measure (espbench/; see docs/OBSERVABILITY.md).
  *
  * Failed sweep cells (see CellError) are reported in a top-level
  * `errors` array — one `{app, config, config_hash, message}` entry
@@ -56,20 +56,10 @@ struct ArtifactManifest
  */
 std::string configsHash(const std::vector<SimConfig> &configs);
 
-/**
- * Render the canonical JSON artifact for one suite sweep.
- *
- * @p pool_usage (profiling runs only) appends a top-level `host`
- * block with the JobPool utilization and process peak RSS. It MUST
- * stay null for deterministic artifacts: host facts are wall-clock
- * measurements of this machine and would break byte-identity. The
- * default keeps clean artifacts bit-for-bit unchanged.
- */
-std::string renderSuiteArtifactJson(
-    const ArtifactManifest &manifest,
-    const std::vector<SimConfig> &configs,
-    const std::vector<SuiteRow> &rows,
-    const JobPoolUsage *pool_usage = nullptr);
+/** Render the canonical JSON artifact for one suite sweep. */
+std::string renderSuiteArtifactJson(const ArtifactManifest &manifest,
+                                    const std::vector<SimConfig> &configs,
+                                    const std::vector<SuiteRow> &rows);
 
 /**
  * Render the flat CSV view: `app,config,stat,value` rows, preceded by

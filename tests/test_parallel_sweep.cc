@@ -10,7 +10,9 @@
  */
 
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <stdexcept>
 #include <thread>
@@ -112,11 +114,24 @@ TEST(ParallelSweep, DeterministicAcrossJobCounts)
             const SimResult &p = parallel[r].results[c];
             EXPECT_EQ(s.configName, p.configName) << r << "," << c;
             EXPECT_EQ(s.workloadName, p.workloadName);
-            // Bit-identical, not approximately equal.
+            // Bit-identical, not approximately equal: the headline
+            // fields and every stat of the cell.
             EXPECT_EQ(s.cycles, p.cycles) << r << "," << c;
             EXPECT_EQ(s.ipc, p.ipc) << r << "," << c;
             EXPECT_EQ(s.l1iMpki, p.l1iMpki);
             EXPECT_EQ(s.mispredictRate, p.mispredictRate);
+            const auto &sv = s.stats.values();
+            const auto &pv = p.stats.values();
+            ASSERT_FALSE(sv.empty()) << r << "," << c;
+            ASSERT_EQ(sv.size(), pv.size()) << r << "," << c;
+            for (auto si = sv.begin(), pi = pv.begin(); si != sv.end();
+                 ++si, ++pi) {
+                ASSERT_EQ(si->first, pi->first) << r << "," << c;
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(si->second),
+                          std::bit_cast<std::uint64_t>(pi->second))
+                    << r << "," << c << " " << si->first << ": "
+                    << si->second << " vs " << pi->second;
+            }
         }
     }
 }

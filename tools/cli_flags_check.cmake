@@ -42,6 +42,8 @@ foreach(flag flight-recorder worst anomaly-threshold anomaly-min
         flight-dump spike-scale telemetry-wall-ms)
     expect_unknown_option(serve --profile testsrv --${flag} 8)
 endforeach()
+# The suite's host profiler was removed (espbench measures host time).
+expect_unknown_option(suite --profile)
 # A serve-only flag on another subcommand.
 expect_unknown_option(suite --events 100)
 expect_unknown_option(diff a.json b.json --confg base)
@@ -63,10 +65,12 @@ endforeach()
 expect_rejected("unexpected argument 'bing'" run bing --config base)
 # A switch takes no value, so the word after it is stray.
 expect_rejected("unexpected argument 'bing'" run --app cnn --stats bing)
-expect_rejected("unexpected argument 'x'" suite --profile x)
+expect_rejected("unexpected argument 'x'" suite --streaming x)
 expect_rejected("unexpected argument 'x'" fuzz --verbose x)
 # A numeric option without its number is malformed, not the value 1.
 expect_rejected("invalid value" serve --profile testsrv --events --json)
+# A sweep runs on at least one job; zero is not silently raised to 1.
+expect_rejected("invalid value '0' for --jobs" suite --jobs 0)
 # No gap is NaN or infinite (a NaN bursty schedule never ends).
 expect_rejected("invalid value" serve --profile testsrv --gap nan)
 expect_rejected("invalid value" serve --profile testsrv --gap inf)

@@ -8,8 +8,7 @@
  *   espsim run   --app bing --telemetry-period N
  *                [--telemetry [path]] [--timeline out.trace.json]
  *   espsim suite --configs base,NL,ESP+NL [--jobs N] [--apps a,b]
- *                [--json [path]] [--csv [path]] [--profile]
- *                [--streaming]
+ *                [--json [path]] [--csv [path]] [--streaming]
  *   espsim serve --profile memcached --events 1000000
  *                [--configs base,ESP+NL] [--arrival poisson]
  *                [--json [path]] [--trace-spans [path]]
@@ -17,7 +16,8 @@
  *                [--telemetry [path]] [--telemetry-period N]
  *   espsim gen   --app gmaps --out gmaps.espw [--events N]
  *   espsim diff  baseline.json candidate.json [--rel-tol F]
- *                [--abs-tol F] [--headline a,b] [--max-rows N]
+ *                [--abs-tol F] [--headline a,b]
+ *                [--headline-rel-tol F] [--max-rows N]
  *                [--ignore-config-hash]
  *   espsim fuzz  [--runs N] [--seed S] [--verbose]
  *   espsim list  (apps and configs)
@@ -104,7 +104,7 @@ usage()
         "[--stats] [--timeline <file>]\n"
         "               [--telemetry [path]] [--telemetry-period N]\n"
         "  espsim suite [--configs a,b,c] [--apps a,b] [--jobs N] "
-        "[--json [path]] [--csv [path]] [--profile] [--streaming]\n"
+        "[--json [path]] [--csv [path]] [--streaming]\n"
         "  espsim serve [--profile memcached|http|testsrv] "
         "[--configs a,b] [--events N] [--window N]\n"
         "               [--reservoir N] "
@@ -116,8 +116,9 @@ usage()
         "  espsim gen   --app <name> --out <file> [--events N]\n"
         "  espsim diff  <baseline.json> <candidate.json> "
         "[--rel-tol F] [--abs-tol F]\n"
-        "               [--headline a,b,c] [--max-rows N] "
-        "[--ignore-config-hash]\n"
+        "               [--headline a,b,c] [--headline-rel-tol F] "
+        "[--max-rows N]\n"
+        "               [--ignore-config-hash]\n"
         "  espsim fuzz  [--runs N] [--seed S] [--verbose]\n"
         "  espsim list\n"
         "  espsim --version\n"
@@ -379,41 +380,22 @@ cmdSuite(const std::map<std::string, std::string> &flags)
         apps = std::move(picked);
     }
 
-    printRunManifest();
     SuiteRunner runner(apps);
     if (auto it = flags.find("jobs"); it != flags.end()) {
         const unsigned long jobs =
             parseUnsignedOption(it->second, "jobs");
-        runner.setJobs(jobs >= 1 ? static_cast<unsigned>(jobs) : 1);
-    }
-    const bool profile = flags.count("profile") != 0;
-    runner.setProfiling(profile);
-    runner.setStreaming(flags.count("streaming") != 0);
-    auto rows = runner.run(configs, true);
-    if (profile) {
-        for (SuiteRow &row : rows) {
-            for (std::size_t c = 0; c < configs.size(); ++c) {
-                if (!row.ok(c))
-                    continue;
-                const HostCellProfile &p = row.profiles[c];
-                mergeHostStats(row.results[c].stats, p);
-                logLine(LogLevel::Info,
-                        "# profile %s/%s: gen %.1f ms, warmup %.1f "
-                        "ms, sim %.1f ms, report %.1f ms (total %.1f "
-                        "ms)",
-                        row.app.c_str(), configs[c].name.c_str(),
-                        p.genMs, p.warmupMs, p.simMs, p.reportMs,
-                        p.totalMs());
-            }
+        if (jobs == 0) {
+            logLine(LogLevel::Error,
+                    "invalid value '0' for --jobs (expected a positive "
+                    "integer)");
+            usage();
+            return 2;
         }
-        const JobPoolUsage &u = runner.lastPoolUsage();
-        logLine(LogLevel::Info,
-                "# pool: %zu jobs on %u threads, queue HWM %zu, busy "
-                "%.1f%%, %.1f jobs/s, wall %.0f ms, peak RSS %.1f MiB",
-                u.jobsCompleted, u.threads, u.queueDepthHighWater,
-                100.0 * u.busyFraction(), u.jobsPerSec(), u.wallMs,
-                peakRssMb());
+        runner.setJobs(static_cast<unsigned>(jobs));
     }
+    printRunManifest();
+    runner.setStreaming(flags.count("streaming") != 0);
+    const auto rows = runner.run(configs, true);
     TextTable table("suite results (cycles; % improvement over first "
                     "config)");
     std::vector<std::string> header{"app"};
@@ -455,13 +437,8 @@ cmdSuite(const std::map<std::string, std::string> &flags)
     if (const std::string path =
             artifactPath(flags, "json", "espsim_suite.json");
         !path.empty()) {
-        // The host block rides along only under --profile; clean
-        // artifacts stay byte-identical to the deterministic baseline.
-        if (!writeTextFile(
-                path,
-                renderSuiteArtifactJson(
-                    manifest, configs, rows,
-                    profile ? &runner.lastPoolUsage() : nullptr))) {
+        if (!writeTextFile(path, renderSuiteArtifactJson(
+                                     manifest, configs, rows))) {
             logLine(LogLevel::Error, "cannot write '%s'",
                     path.c_str());
             return 1;
@@ -594,8 +571,8 @@ cmdServe(const std::map<std::string, std::string> &flags)
         std::chrono::duration_cast<std::chrono::milliseconds>(
             std::chrono::steady_clock::now() - wall_start)
             .count();
-    // Always on stderr (not just under --profile): the serve_1m RSS
-    // gate parses this line from two separate process runs.
+    // The serve_1m RSS gate parses this line from two separate
+    // process runs.
     logLine(LogLevel::Info, "# serve peak RSS %.1f MiB", peakRssMb());
     // Parsed by the serve_trace_overhead gate (recorder-on vs -off).
     logLine(LogLevel::Info, "# serve wall %lld ms",
@@ -770,7 +747,7 @@ commands()
         {"suite",
          {cmdSuite,
           {"apps", "configs", "csv", "jobs", "json"},
-          {"profile", "streaming"}}},
+          {"streaming"}}},
         {"serve",
          {cmdServe,
           {"arrival", "concurrency", "configs", "events", "gap", "json",
