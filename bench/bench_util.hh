@@ -11,9 +11,9 @@
  * strictly serial behaviour. Tables are byte-identical either way.
  *
  * Every figure binary also accepts `--version` (print the build
- * manifest and exit), `--json [path]` and `--csv [path]` (export the
- * full per-(app, config) stat dump as a versioned artifact; the
- * default path is BENCH_<fig>.json / .csv) and `--log-level <name>`.
+ * manifest and exit), `--json [path]` (export the full per-(app,
+ * config) stat dump as a versioned artifact; the default path is
+ * BENCH_<fig>.json) and `--log-level <name>`.
  * Anything else exits 2 with a usage line. The ASCII tables on stdout
  * are untouched; run chatter (manifest, progress, wall time) goes to
  * stderr. See docs/OBSERVABILITY.md.
@@ -52,7 +52,6 @@ struct ReportOptions
 {
     std::string source;   //!< producing binary, e.g. "fig09_performance"
     std::string jsonPath; //!< empty = no JSON artifact
-    std::string csvPath;  //!< empty = no CSV artifact
     unsigned jobs = 0;    //!< requested parallelism (0 = auto)
     std::chrono::steady_clock::time_point start =
         std::chrono::steady_clock::now();
@@ -63,8 +62,8 @@ struct ReportOptions
 usageExit(const std::string &source)
 {
     logLine(LogLevel::Error,
-            "usage: %s [--jobs N] [--json [path]] [--csv [path]] "
-            "[--version] [--log-level error|warn|info|debug]",
+            "usage: %s [--jobs N] [--json [path]] [--version] "
+            "[--log-level error|warn|info|debug]",
             source.c_str());
     std::exit(2);
 }
@@ -72,10 +71,9 @@ usageExit(const std::string &source)
 /**
  * Handle the flags every figure binary shares, and only those: `--jobs
  * N` (a positive integer; absent = auto, which SuiteRunner resolves to
- * ESPSIM_JOBS or hardware_concurrency), `--json [path]` / `--csv
- * [path]` (default `BENCH_<tag>.json|csv` when no path follows the
- * flag), `--version` (print the build manifest and exit 0) and
- * `--log-level <name>`. Any other word, or a malformed value, prints
+ * ESPSIM_JOBS or hardware_concurrency), `--json [path]` (default
+ * `BENCH_<tag>.json` when no path follows the flag), `--version`
+ * (print the build manifest and exit 0) and `--log-level <name>`. Any other word, or a malformed value, prints
  * the usage line and exits 2. Then prints the run manifest — tool
  * version, build type, requested jobs — to stderr. Volatile facts
  * like jobs and wall time stay on stderr so the artifacts themselves
@@ -98,9 +96,6 @@ reportSetup(int argc, char **argv, const std::string &source,
         } else if (std::strcmp(arg, "--json") == 0) {
             opts.jsonPath = has_path ? argv[++i]
                                      : "BENCH_" + tag + ".json";
-        } else if (std::strcmp(arg, "--csv") == 0) {
-            opts.csvPath = has_path ? argv[++i]
-                                    : "BENCH_" + tag + ".csv";
         } else if (std::strcmp(arg, "--jobs") == 0) {
             char *end = nullptr;
             const long v = next ? std::strtol(next, &end, 10) : 0;
@@ -159,15 +154,6 @@ reportFinish(const ReportOptions &opts,
         }
         logLine(LogLevel::Info, "# wrote %s", opts.jsonPath.c_str());
     }
-    if (!opts.csvPath.empty()) {
-        if (!writeTextFile(opts.csvPath, renderSuiteArtifactCsv(
-                                             manifest, configs, rows))) {
-            logLine(LogLevel::Error, "# error: cannot write %s",
-                    opts.csvPath.c_str());
-            std::exit(1);
-        }
-        logLine(LogLevel::Info, "# wrote %s", opts.csvPath.c_str());
-    }
     const auto wall = std::chrono::duration_cast<std::chrono::
         milliseconds>(std::chrono::steady_clock::now() - opts.start);
     logLine(LogLevel::Info, "# %s done in %.2f s", opts.source.c_str(),
@@ -192,15 +178,6 @@ reportFinishTable(const ReportOptions &opts, const TextTable &table)
             std::exit(1);
         }
         logLine(LogLevel::Info, "# wrote %s", opts.jsonPath.c_str());
-    }
-    if (!opts.csvPath.empty()) {
-        if (!writeTextFile(opts.csvPath,
-                           renderTableArtifactCsv(manifest, table))) {
-            logLine(LogLevel::Error, "# error: cannot write %s",
-                    opts.csvPath.c_str());
-            std::exit(1);
-        }
-        logLine(LogLevel::Info, "# wrote %s", opts.csvPath.c_str());
     }
 }
 

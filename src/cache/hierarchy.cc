@@ -103,14 +103,4 @@ MemoryHierarchy::registerStats(StatRegistry &reg,
     });
 }
 
-void
-MemoryHierarchy::report(StatGroup &stats, const std::string &prefix) const
-{
-    StatRegistry reg;
-    registerStats(reg, prefix);
-    const StatGroup snap = reg.snapshot();
-    for (const auto &[name, value] : snap.values())
-        stats.set(name, value);
-}
-
 } // namespace espsim

@@ -18,7 +18,6 @@
 #include <cstdint>
 
 #include "cache/cache.hh"
-#include "common/stats.hh"
 #include "prefetch/inflight.hh"
 #include "report/stat_registry.hh"
 
@@ -168,9 +167,6 @@ class MemoryHierarchy
     /** Register every hierarchy counter by name (canonical surface). */
     void registerStats(StatRegistry &reg,
                        const std::string &prefix) const;
-
-    /** Snapshot all counters into @p stats (view over the registry). */
-    void report(StatGroup &stats, const std::string &prefix) const;
 
   private:
     HierarchyConfig config_;

@@ -18,13 +18,6 @@ StatGroup::has(const std::string &name) const
     return values_.find(name) != values_.end();
 }
 
-void
-StatGroup::merge(const StatGroup &other)
-{
-    for (const auto &[name, value] : other.values_)
-        values_[name] += value;
-}
-
 std::string
 StatGroup::dump(const std::string &prefix) const
 {

@@ -2,7 +2,8 @@
  * @file
  * Lightweight named-statistics registry.
  *
- * Components declare scalar counters against a StatGroup; the group can
+ * A StatGroup is a point-in-time snapshot of named scalar counters,
+ * filled by StatRegistry::snapshot() (report/stat_registry.hh); it can
  * be dumped as text or queried by name from tests and benchmark
  * harnesses. This mirrors (a small slice of) the gem5 stats package.
  */
@@ -21,13 +22,6 @@ namespace espsim
 class StatGroup
 {
   public:
-    /** Add @p delta to the counter called @p name (created on first use). */
-    void
-    add(const std::string &name, double delta = 1.0)
-    {
-        values_[name] += delta;
-    }
-
     /** Overwrite the value of @p name. */
     void
     set(const std::string &name, double value)
@@ -40,12 +34,6 @@ class StatGroup
 
     /** True if the counter exists. */
     bool has(const std::string &name) const;
-
-    /** Merge another group into this one (summing counters). */
-    void merge(const StatGroup &other);
-
-    /** Reset every counter to zero. */
-    void clear() { values_.clear(); }
 
     /** Render as "name = value" lines, one per counter. */
     std::string dump(const std::string &prefix = "") const;

@@ -20,7 +20,6 @@
 
 #include "branch/pentium_m.hh"
 #include "cache/hierarchy.hh"
-#include "common/stats.hh"
 #include "cpu/hooks.hh"
 #include "report/stat_registry.hh"
 #include "trace/workload.hh"
@@ -67,9 +66,6 @@ class RunaheadEngine : public CoreHooks
     /** Register every runahead counter by name (canonical surface). */
     void registerStats(StatRegistry &reg,
                        const std::string &prefix) const;
-
-    /** Snapshot all counters into @p out (view over the registry). */
-    void report(StatGroup &out, const std::string &prefix) const;
 
   private:
     const RunaheadConfig config_;

@@ -727,21 +727,4 @@ EspController::registerStats(StatRegistry &reg,
     }
 }
 
-void
-EspController::report(StatGroup &out, const std::string &prefix) const
-{
-    StatRegistry reg;
-    registerStats(reg, prefix);
-    const StatGroup snap = reg.snapshot();
-    for (const auto &[name, value] : snap.values()) {
-        // Preserve the historical contract: the match fraction only
-        // appears once at least one event was pre-executed.
-        if (stats_.eventsPreExecuted == 0 &&
-            name == prefix + "spec_match_fraction") {
-            continue;
-        }
-        out.set(name, value);
-    }
-}
-
 } // namespace espsim

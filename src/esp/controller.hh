@@ -27,7 +27,6 @@
 #include "common/arena.hh"
 #include "common/block_run_set.hh"
 #include "common/histogram.hh"
-#include "common/stats.hh"
 #include "cpu/hooks.hh"
 #include "esp/config.hh"
 #include "esp/event_queue.hh"
@@ -113,9 +112,6 @@ class EspController : public CoreHooks
     /** Register every ESP counter by name (canonical surface). */
     void registerStats(StatRegistry &reg,
                        const std::string &prefix) const;
-
-    /** Snapshot all counters into @p out (view over the registry). */
-    void report(StatGroup &out, const std::string &prefix) const;
 
     /** Attach a timeline sink; pre-execution windows are recorded
      *  into it as ESP-depth slices (nullptr detaches). */

@@ -20,7 +20,7 @@ DiffResult::exitCode() const
 {
     if (!loaded)
         return 2;
-    if (headlineRegressions > 0 || !configHashMatch)
+    if (!drifts.empty() || !configHashMatch)
         return 1;
     return 0;
 }
@@ -92,17 +92,11 @@ loadArtifact(const JsonValue &root, PointMap &points, ErrorMap &errors,
     return true;
 }
 
-/** Within tolerance? NaN == NaN counts as equal (both undefined). */
+/** Exactly equal? NaN == NaN counts as equal (both undefined). */
 bool
-withinTolerance(double b, double c, double relTol, double absTol)
+sameValue(double b, double c)
 {
-    if (std::isnan(b) && std::isnan(c))
-        return true;
-    if (std::isnan(b) != std::isnan(c))
-        return false;
-    const double delta = std::fabs(b - c);
-    return delta <= absTol ||
-        delta <= relTol * std::max(std::fabs(b), std::fabs(c));
+    return b == c || (std::isnan(b) && std::isnan(c));
 }
 
 double
@@ -162,19 +156,10 @@ bucketAttribution(const StatMap &base, const StatMap &cand)
     return out;
 }
 
-bool
-isHeadline(const DiffOptions &opts, const std::string &stat)
-{
-    return std::find(opts.headlineStats.begin(),
-                     opts.headlineStats.end(),
-                     stat) != opts.headlineStats.end();
-}
-
 } // namespace
 
 DiffResult
-diffSuiteArtifacts(const JsonValue &baseline, const JsonValue &candidate,
-                   const DiffOptions &opts)
+diffSuiteArtifacts(const JsonValue &baseline, const JsonValue &candidate)
 {
     DiffResult res;
     PointMap basePoints, candPoints;
@@ -191,16 +176,12 @@ diffSuiteArtifacts(const JsonValue &baseline, const JsonValue &candidate,
         return res;
     }
     res.loaded = true;
-    res.configHashMatch =
-        opts.ignoreConfigHash || baseHash == candHash;
+    res.configHashMatch = baseHash == candHash;
     res.baselineErrorCells = baseErrors.size();
     res.candidateErrorCells = candErrors.size();
 
-    const double headlineRel =
-        opts.headlineRelTol >= 0.0 ? opts.headlineRelTol : opts.relTol;
-
-    // Points present in only one artifact always fail the gate: the
-    // candidate silently dropping an (app, config) point is itself a
+    // Points present in only one artifact are drifts: the candidate
+    // silently dropping an (app, config) point is itself a
     // regression, and a grown matrix deserves a fresh baseline.
     for (const auto &[key, stats] : basePoints) {
         (void)stats;
@@ -210,7 +191,6 @@ diffSuiteArtifacts(const JsonValue &baseline, const JsonValue &candidate,
             d.config = key.second;
             d.stat = "(entire point)";
             d.onlyInBaseline = true;
-            d.headline = true;
             d.relDrift = -std::numeric_limits<double>::infinity();
             // The candidate's errors block explains why the point is
             // missing; surface the cell's message in the report.
@@ -218,12 +198,11 @@ diffSuiteArtifacts(const JsonValue &baseline, const JsonValue &candidate,
                 eit != candErrors.end())
                 d.attribution = "error: " + eit->second;
             res.drifts.push_back(std::move(d));
-            ++res.headlineRegressions;
         }
     }
     // Candidate error cells whose point the baseline results also
     // lack (e.g. both sides degraded) would otherwise pass silently:
-    // an error cell in the candidate always fails the gate.
+    // an error cell in the candidate is always a drift.
     for (const auto &[key, message] : candErrors) {
         if (basePoints.count(key) != 0)
             continue; // already flagged as a missing point above
@@ -231,12 +210,10 @@ diffSuiteArtifacts(const JsonValue &baseline, const JsonValue &candidate,
         d.app = key.first;
         d.config = key.second;
         d.stat = "(error cell)";
-        d.headline = true;
         d.relDrift = std::numeric_limits<double>::infinity();
         d.onlyInCandidate = candPoints.count(key) == 0;
         d.attribution = "error: " + message;
         res.drifts.push_back(std::move(d));
-        ++res.headlineRegressions;
     }
     for (const auto &[key, stats] : candPoints) {
         (void)stats;
@@ -246,10 +223,8 @@ diffSuiteArtifacts(const JsonValue &baseline, const JsonValue &candidate,
             d.config = key.second;
             d.stat = "(entire point)";
             d.onlyInCandidate = true;
-            d.headline = true;
             d.relDrift = std::numeric_limits<double>::infinity();
             res.drifts.push_back(std::move(d));
-            ++res.headlineRegressions;
         }
     }
 
@@ -284,29 +259,15 @@ diffSuiteArtifacts(const JsonValue &baseline, const JsonValue &candidate,
                 d.stat = bi->first;
                 d.baseline = bi->second;
                 d.candidate = ci->second;
-                d.relDrift = relativeDrift(d.baseline, d.candidate);
                 ++res.statsCompared;
-                const bool headline = isHeadline(opts, d.stat);
-                const bool ok = withinTolerance(
-                    d.baseline, d.candidate,
-                    headline ? headlineRel : opts.relTol, opts.absTol);
                 ++bi;
                 ++ci;
-                if (ok)
+                if (sameValue(d.baseline, d.candidate))
                     continue;
-                d.headline = headline;
+                d.relDrift = relativeDrift(d.baseline, d.candidate);
                 if (d.stat == "core.cycles")
                     d.attribution = bucketAttribution(base, cand);
-                if (headline)
-                    ++res.headlineRegressions;
-                res.drifts.push_back(std::move(d));
-                continue;
             }
-            // A stat existing on only one side is a schema drift; it
-            // fails the gate only when the stat is a headline one.
-            d.headline = isHeadline(opts, d.stat);
-            if (d.headline)
-                ++res.headlineRegressions;
             res.drifts.push_back(std::move(d));
         }
     }
@@ -328,8 +289,7 @@ diffSuiteArtifacts(const JsonValue &baseline, const JsonValue &candidate,
 
 DiffResult
 diffSuiteArtifactFiles(const std::string &baselinePath,
-                       const std::string &candidatePath,
-                       const DiffOptions &opts)
+                       const std::string &candidatePath)
 {
     auto readAll = [](const std::string &path,
                       std::string &out) -> bool {
@@ -363,11 +323,11 @@ diffSuiteArtifactFiles(const std::string &baselinePath,
         res.error = "candidate '" + candidatePath + "': " + parseErr;
         return res;
     }
-    return diffSuiteArtifacts(*base, *cand, opts);
+    return diffSuiteArtifacts(*base, *cand);
 }
 
 std::string
-renderDiffReport(const DiffResult &result, const DiffOptions &opts)
+renderDiffReport(const DiffResult &result)
 {
     std::string out;
     if (!result.loaded) {
@@ -377,10 +337,9 @@ renderDiffReport(const DiffResult &result, const DiffOptions &opts)
 
     char buf[160];
     std::snprintf(buf, sizeof(buf),
-                  "compared %zu points, %zu stats; %zu drifts beyond "
-                  "tolerance (rel %g, abs %g)\n",
+                  "compared %zu points, %zu stats; %zu drifts\n",
                   result.pointsCompared, result.statsCompared,
-                  result.drifts.size(), opts.relTol, opts.absTol);
+                  result.drifts.size());
     out += buf;
     if (result.baselineErrorCells || result.candidateErrorCells) {
         std::snprintf(buf, sizeof(buf),
@@ -391,8 +350,7 @@ renderDiffReport(const DiffResult &result, const DiffOptions &opts)
     }
     if (!result.configHashMatch)
         out += "config hash MISMATCH: the artifacts describe "
-               "different machines (pass --ignore-config-hash to "
-               "compare anyway)\n";
+               "different machines\n";
 
     if (result.drifts.empty()) {
         out += "no drift: candidate matches baseline\n";
@@ -402,8 +360,8 @@ renderDiffReport(const DiffResult &result, const DiffOptions &opts)
     TextTable table("stat drifts (ranked by |relative drift|)");
     table.header({"app", "config", "stat", "baseline", "candidate",
                   "drift", "attribution"});
-    const std::size_t shown =
-        std::min(result.drifts.size(), opts.maxRows);
+    constexpr std::size_t maxRows = 20;
+    const std::size_t shown = std::min(result.drifts.size(), maxRows);
     for (std::size_t i = 0; i < shown; ++i) {
         const StatDrift &d = result.drifts[i];
         std::string drift;
@@ -418,10 +376,7 @@ renderDiffReport(const DiffResult &result, const DiffOptions &opts)
                           100.0 * d.relDrift);
             drift = buf;
         }
-        std::string stat = d.stat;
-        if (d.headline)
-            stat += " [headline]";
-        table.row({d.app, d.config, stat,
+        table.row({d.app, d.config, d.stat,
                    d.onlyInCandidate ? "-" : TextTable::num(d.baseline, 6),
                    d.onlyInBaseline ? "-" : TextTable::num(d.candidate, 6),
                    drift, d.attribution});
@@ -432,9 +387,6 @@ renderDiffReport(const DiffResult &result, const DiffOptions &opts)
                       result.drifts.size() - shown);
         out += buf;
     }
-    std::snprintf(buf, sizeof(buf), "headline regressions: %zu\n",
-                  result.headlineRegressions);
-    out += buf;
     return out;
 }
 

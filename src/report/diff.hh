@@ -5,29 +5,33 @@
  *
  * Both inputs are `espsim-suite-artifact` JSON documents (written by
  * `espsim suite --json`). The diff matches (app, config) points,
- * compares every stat inside the configured tolerances, and ranks the
- * drifts by relative magnitude. Drifts on `core.cycles` are attributed
- * through the cycle-accounting buckets: the report names the buckets
- * whose deltas explain the cycle change, so "amazon/ESP+NL got 4%
- * slower" comes annotated with "dcache_miss +3211, esp_pre_exec -890".
+ * compares every stat of every point exactly, and ranks the drifts by
+ * relative magnitude. There is no tolerance: a speedup must be
+ * stat-identical, and a model change shows every counter it moved.
+ * Drifts on `core.cycles` are attributed through the cycle-accounting
+ * buckets: the report names the buckets whose deltas explain the
+ * cycle change, so "amazon/ESP+NL got 4% slower" comes annotated with
+ * "dcache_miss +3211, esp_pre_exec -890".
  *
  * Exit-code contract (stable; CI depends on it):
- *   0 — artifacts agree within tolerance on every headline stat
- *   1 — headline regression, missing point, candidate error cell, or
- *       config-hash mismatch
+ *   0 — both artifacts load, their config hashes match, and no stat
+ *       drifted: every point and every stat is on both sides with the
+ *       same value (NaN equals NaN)
+ *   1 — any drift: a changed value, a stat or point on one side only,
+ *       a candidate error cell, or a config-hash mismatch
  *   2 — an input failed to load or parse
  *
  * Artifacts produced by a degraded sweep carry an `errors` block (see
  * docs/ROBUSTNESS.md): a failed cell's stats are absent from
  * `results`. The diff reads the block, annotates the corresponding
  * missing-point drift with the cell's error message, and treats any
- * candidate-side error cell as a gate failure.
+ * candidate-side error cell as a drift.
  *
  * Build-environment manifest fields (`tool_version`, `build_type`)
  * are deliberately ignored: artifacts from different commits must be
  * comparable. `config_hash` *is* compared — a mismatch means the two
  * runs simulated different machines, which makes any stat comparison
- * meaningless — unless `ignoreConfigHash` is set.
+ * meaningless.
  */
 
 #ifndef ESPSIM_REPORT_DIFF_HH
@@ -42,33 +46,7 @@ namespace espsim
 
 class JsonValue;
 
-/** Tolerances and report shaping for one diff run. */
-struct DiffOptions
-{
-    /** Relative tolerance: drifts within |b-c| <= rel*max(|b|,|c|)
-     *  are ignored. 0 demands bit-exact stats (the determinism
-     *  gate: --jobs 1 vs --jobs 8 must produce identical output). */
-    double relTol = 0.0;
-
-    /** Absolute floor below which any difference is noise (guards
-     *  relative comparison of near-zero stats). */
-    double absTol = 1e-12;
-
-    /** Cap on drift rows printed by renderDiffReport. */
-    std::size_t maxRows = 20;
-
-    /** Stats whose out-of-tolerance drift fails the gate (exit 1). */
-    std::vector<std::string> headlineStats{"core.cycles", "derived.ipc",
-                                           "energy.total"};
-
-    /** Headline-specific relative tolerance; negative → use relTol. */
-    double headlineRelTol = -1.0;
-
-    /** Compare artifacts from different machine configs anyway. */
-    bool ignoreConfigHash = false;
-};
-
-/** One stat (or point) that moved beyond tolerance. */
+/** One stat (or point) that moved. */
 struct StatDrift
 {
     std::string app;
@@ -80,7 +58,6 @@ struct StatDrift
     double relDrift = 0.0;
     bool onlyInBaseline = false;
     bool onlyInCandidate = false;
-    bool headline = false;
     /** Cycle-bucket deltas explaining a core.cycles drift. */
     std::string attribution;
 };
@@ -93,11 +70,10 @@ struct DiffResult
     bool configHashMatch = true;
     std::size_t pointsCompared = 0;
     std::size_t statsCompared = 0;
-    /** Beyond-tolerance drifts, ranked by |relDrift| descending. */
+    /** Every drift, ranked by |relDrift| descending. */
     std::vector<StatDrift> drifts;
-    std::size_t headlineRegressions = 0;
     /** Failed cells declared in each artifact's `errors` block. A
-     *  candidate error cell always fails the gate (exit 1). */
+     *  candidate error cell is always a drift. */
     std::size_t baselineErrorCells = 0;
     std::size_t candidateErrorCells = 0;
 
@@ -107,17 +83,15 @@ struct DiffResult
 
 /** Diff two parsed suite artifacts. */
 DiffResult diffSuiteArtifacts(const JsonValue &baseline,
-                              const JsonValue &candidate,
-                              const DiffOptions &opts = {});
+                              const JsonValue &candidate);
 
 /** Load two artifact files and diff them (exit 2 path on I/O). */
 DiffResult diffSuiteArtifactFiles(const std::string &baselinePath,
-                                  const std::string &candidatePath,
-                                  const DiffOptions &opts = {});
+                                  const std::string &candidatePath);
 
-/** Human-readable report: summary header plus ranked drift table. */
-std::string renderDiffReport(const DiffResult &result,
-                             const DiffOptions &opts = {});
+/** Human-readable report: summary header plus the ranked drift
+ *  table's first 20 rows. */
+std::string renderDiffReport(const DiffResult &result);
 
 } // namespace espsim
 

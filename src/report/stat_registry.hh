@@ -17,7 +17,7 @@
  *    .max / .p95 scalars in the snapshot.
  *
  * Snapshots are name-ordered, so every downstream consumer (text dump,
- * JSON artifact, CSV) is deterministic by construction.
+ * JSON artifact) is deterministic by construction.
  */
 
 #ifndef ESPSIM_REPORT_STAT_REGISTRY_HH
@@ -77,13 +77,6 @@ class StatRegistry
 
     /** Evaluate every registered stat into a flat StatGroup. */
     StatGroup snapshot() const;
-
-    /**
-     * Evaluate only Counter-kind stats (uint64-backed monotone
-     * counters). This is the interval-sampling surface: deltas of
-     * these values are exact and sum to the final aggregate.
-     */
-    StatGroup counterSnapshot() const;
 
     /** An interned Counter-kind stat: its name and a copy of its
      *  getter. */

@@ -4,7 +4,7 @@
  * top-down cycle attributor's sum invariant across configurations,
  * per-handler attribution, prefetch-lifecycle classification on
  * synthetic streams, the suite artifact's --jobs determinism, and the
- * `espsim diff` tolerance / exit-code contract.
+ * `espsim diff` exact-comparison / exit-code contract.
  */
 
 #include <gtest/gtest.h>
@@ -586,7 +586,7 @@ TEST(Accounting, SuiteArtifactIdenticalAcrossJobs)
 }
 
 // --------------------------------------------------------------------
-// espsim diff: tolerance and exit-code matrix
+// espsim diff: exact comparison and exit-code matrix
 // --------------------------------------------------------------------
 
 namespace
@@ -620,13 +620,12 @@ fakeArtifact(const std::string &hash, double cycles,
 }
 
 DiffResult
-diffStrings(const std::string &base, const std::string &cand,
-            const DiffOptions &opts = {})
+diffStrings(const std::string &base, const std::string &cand)
 {
     const auto b = parseJson(base);
     const auto c = parseJson(cand);
     EXPECT_TRUE(b && c);
-    return diffSuiteArtifacts(*b, *c, opts);
+    return diffSuiteArtifacts(*b, *c);
 }
 
 } // namespace
@@ -646,13 +645,11 @@ TEST(Diff, HeadlineDriftFailsAndIsAttributedToBuckets)
     const std::string cand = fakeArtifact("h", 1100, 300, 1.5);
     const DiffResult d = diffStrings(base, cand);
     EXPECT_EQ(d.exitCode(), 1);
-    EXPECT_GE(d.headlineRegressions, 1u);
     bool found = false;
     for (const StatDrift &drift : d.drifts) {
         if (drift.stat != "core.cycles")
             continue;
         found = true;
-        EXPECT_TRUE(drift.headline);
         EXPECT_NEAR(drift.relDrift, 0.1, 1e-9);
         // The drift is explained through the accounting buckets.
         EXPECT_NE(drift.attribution.find("dcache_miss +100"),
@@ -662,55 +659,41 @@ TEST(Diff, HeadlineDriftFailsAndIsAttributedToBuckets)
     EXPECT_TRUE(found);
 }
 
-TEST(Diff, RelativeToleranceAbsorbsHeadlineDrift)
+TEST(Diff, AnyStatDriftFails)
 {
-    const std::string base = fakeArtifact("h", 1000, 200, 1.5);
-    const std::string cand = fakeArtifact("h", 1100, 300, 1.5);
-    DiffOptions opts;
-    opts.relTol = 0.6; // covers even the 50% bucket move
-    const DiffResult d = diffStrings(base, cand, opts);
-    EXPECT_EQ(d.exitCode(), 0);
-    EXPECT_EQ(d.headlineRegressions, 0u);
-    EXPECT_TRUE(d.drifts.empty());
-}
-
-TEST(Diff, HeadlineToleranceOverridesGeneralTolerance)
-{
-    const std::string base = fakeArtifact("h", 1000, 200, 1.5);
-    const std::string cand = fakeArtifact("h", 1100, 300, 1.5);
-    DiffOptions opts;
-    opts.relTol = 0.6;
-    opts.headlineRelTol = 0.01; // stricter just for headline stats
-    const DiffResult d = diffStrings(base, cand, opts);
-    EXPECT_EQ(d.exitCode(), 1);
-    EXPECT_GE(d.headlineRegressions, 1u);
-}
-
-TEST(Diff, NonHeadlineDriftIsReportedButPasses)
-{
+    // Every stat is held exactly, not just cycles, IPC and energy: a
+    // moved counter and a counter that vanished each fail the gate.
     const std::string base = fakeArtifact("h", 1000, 200, 1.5, false,
                                           R"("mem.extra":10)");
-    const std::string cand = fakeArtifact("h", 1000, 200, 1.5, false,
-                                          R"("mem.extra":20)");
-    const DiffResult d = diffStrings(base, cand);
-    EXPECT_EQ(d.exitCode(), 0);
+    const std::string moved = fakeArtifact("h", 1000, 200, 1.5, false,
+                                           R"("mem.extra":20)");
+    const DiffResult d = diffStrings(base, moved);
+    EXPECT_EQ(d.exitCode(), 1);
     ASSERT_EQ(d.drifts.size(), 1u);
     EXPECT_EQ(d.drifts[0].stat, "mem.extra");
-    EXPECT_FALSE(d.drifts[0].headline);
+    EXPECT_NEAR(d.drifts[0].relDrift, 1.0, 1e-12);
+
+    const std::string removed = fakeArtifact("h", 1000, 200, 1.5);
+    const DiffResult r = diffStrings(base, removed);
+    EXPECT_EQ(r.exitCode(), 1);
+    ASSERT_EQ(r.drifts.size(), 1u);
+    EXPECT_EQ(r.drifts[0].stat, "mem.extra");
+    EXPECT_TRUE(r.drifts[0].onlyInBaseline);
+
+    // NaN equals NaN: an undefined ratio on both sides is no drift.
+    const std::string undefined = fakeArtifact(
+        "h", 1000, 200, 1.5, false, R"("derived.l1d_miss_rate":null)");
+    EXPECT_EQ(diffStrings(undefined, undefined).exitCode(), 0);
 }
 
-TEST(Diff, ConfigHashMismatchFailsUnlessIgnored)
+TEST(Diff, ConfigHashMismatchFails)
 {
     const std::string base = fakeArtifact("aaaa", 1000, 200, 1.5);
     const std::string cand = fakeArtifact("bbbb", 1000, 200, 1.5);
-    const DiffResult strict = diffStrings(base, cand);
-    EXPECT_EQ(strict.exitCode(), 1);
-    EXPECT_FALSE(strict.configHashMatch);
-
-    DiffOptions opts;
-    opts.ignoreConfigHash = true;
-    const DiffResult relaxed = diffStrings(base, cand, opts);
-    EXPECT_EQ(relaxed.exitCode(), 0);
+    const DiffResult d = diffStrings(base, cand);
+    EXPECT_EQ(d.exitCode(), 1);
+    EXPECT_FALSE(d.configHashMatch);
+    EXPECT_TRUE(d.drifts.empty());
 }
 
 TEST(Diff, MissingPointFailsTheGate)
@@ -750,6 +733,6 @@ TEST(Diff, ReportRendersDriftTable)
     const DiffResult d = diffStrings(base, cand);
     const std::string report = renderDiffReport(d);
     EXPECT_NE(report.find("core.cycles"), std::string::npos);
-    EXPECT_NE(report.find("[headline]"), std::string::npos);
-    EXPECT_NE(report.find("headline regressions:"), std::string::npos);
+    EXPECT_NE(report.find("dcache_miss +100"), std::string::npos);
+    EXPECT_NE(report.find("2 drifts"), std::string::npos);
 }

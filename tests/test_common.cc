@@ -124,23 +124,11 @@ TEST(Stats, AddAndGet)
     StatGroup g;
     EXPECT_EQ(g.get("missing"), 0.0);
     EXPECT_FALSE(g.has("missing"));
-    g.add("x");
-    g.add("x", 2.5);
+    g.set("x", 3.5);
     EXPECT_DOUBLE_EQ(g.get("x"), 3.5);
     g.set("x", 1.0);
     EXPECT_DOUBLE_EQ(g.get("x"), 1.0);
     EXPECT_TRUE(g.has("x"));
-}
-
-TEST(Stats, MergeSums)
-{
-    StatGroup a, b;
-    a.add("x", 1);
-    b.add("x", 2);
-    b.add("y", 5);
-    a.merge(b);
-    EXPECT_DOUBLE_EQ(a.get("x"), 3.0);
-    EXPECT_DOUBLE_EQ(a.get("y"), 5.0);
 }
 
 TEST(Stats, DumpContainsEntries)

@@ -393,8 +393,9 @@ TEST(Esp, ReportExportsCounters)
     auto esp = rig.controller();
     esp.onEventStart(0, 0);
     esp.onStall(dataStall());
-    StatGroup g;
-    esp.report(g, "esp.");
+    StatRegistry reg;
+    esp.registerStats(reg, "esp.");
+    const StatGroup g = reg.snapshot();
     EXPECT_GT(g.get("esp.jumps"), 0.0);
     EXPECT_GT(g.get("esp.pre_executed_instrs"), 0.0);
     EXPECT_GT(g.get("esp.spec_match_fraction"), 0.9);

@@ -152,8 +152,9 @@ TEST(Hierarchy, ReportExportsCounters)
 {
     MemoryHierarchy mem(smallConfig());
     mem.accessInstr(0x1000, 0);
-    StatGroup g;
-    mem.report(g, "mem.");
+    StatRegistry reg;
+    mem.registerStats(reg, "mem.");
+    const StatGroup g = reg.snapshot();
     EXPECT_DOUBLE_EQ(g.get("mem.l1i.accesses"), 1.0);
     EXPECT_DOUBLE_EQ(g.get("mem.l1i.misses"), 1.0);
     EXPECT_DOUBLE_EQ(g.get("mem.l2.misses"), 1.0);

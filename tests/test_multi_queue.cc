@@ -31,7 +31,11 @@ simpleQueue(unsigned tag, std::size_t events)
                    0x8000000 + 0x100000 * tag + 512 * i, 1);
         }
     }
-    return b.build("q" + std::to_string(tag));
+    // Two steps, not "q" + to_string(): GCC 12's -Wrestrict misfires
+    // on the inlined operator+ at -O3.
+    std::string name = "q";
+    name += std::to_string(tag);
+    return b.build(name);
 }
 
 std::unique_ptr<InterleavedWorkload>

@@ -47,6 +47,14 @@ expect_unknown_option(suite --profile)
 # A serve-only flag on another subcommand.
 expect_unknown_option(suite --events 100)
 expect_unknown_option(diff a.json b.json --confg base)
+# diff compares every stat exactly and has no option but --log-level:
+# its tolerance, headline, row-cap and config-hash override flags were
+# removed, and so was the suite's CSV view.
+foreach(flag rel-tol abs-tol headline headline-rel-tol max-rows)
+    expect_unknown_option(diff --${flag} 0 a.json b.json)
+endforeach()
+expect_unknown_option(diff a.json b.json --ignore-config-hash)
+expect_unknown_option(suite --csv out.csv)
 
 # `bench` and `report` are no subcommands (espbench measures
 # throughput, `espsim diff` compares two runs): usage on stdout and

@@ -8,17 +8,14 @@
  *   espsim run   --app bing --telemetry-period N
  *                [--telemetry [path]] [--timeline out.trace.json]
  *   espsim suite --configs base,NL,ESP+NL [--jobs N] [--apps a,b]
- *                [--json [path]] [--csv [path]] [--streaming]
+ *                [--json [path]] [--streaming]
  *   espsim serve --profile memcached --events 1000000
  *                [--configs base,ESP+NL] [--arrival poisson]
  *                [--json [path]] [--trace-spans [path]]
  *                [--spike-event N]
  *                [--telemetry [path]] [--telemetry-period N]
  *   espsim gen   --app gmaps --out gmaps.espw [--events N]
- *   espsim diff  baseline.json candidate.json [--rel-tol F]
- *                [--abs-tol F] [--headline a,b]
- *                [--headline-rel-tol F] [--max-rows N]
- *                [--ignore-config-hash]
+ *   espsim diff  baseline.json candidate.json
  *   espsim fuzz  [--runs N] [--seed S] [--verbose]
  *   espsim list  (apps and configs)
  *   espsim --version
@@ -34,8 +31,8 @@
  * non-finite numbers). `espsim run --trace` exits 2 on a trace file
  * it cannot open or that is malformed, including one holding an op
  * the simulator's packed op storage cannot hold.
- * `espsim diff` exits 0 when the artifacts agree within tolerance,
- * 1 on a headline regression or config mismatch, 2 on load failure.
+ * `espsim diff` exits 0 when every stat of every point is identical,
+ * 1 on any drift or a config-hash mismatch, 2 on load failure.
  * `espsim suite` exits 1 when any sweep cell failed (its artifact
  * then carries an `errors` block; see docs/ROBUSTNESS.md).
  * `espsim fuzz` runs the src/check/ property harness and exits 1 on
@@ -104,7 +101,7 @@ usage()
         "[--stats] [--timeline <file>]\n"
         "               [--telemetry [path]] [--telemetry-period N]\n"
         "  espsim suite [--configs a,b,c] [--apps a,b] [--jobs N] "
-        "[--json [path]] [--csv [path]] [--streaming]\n"
+        "[--json [path]] [--streaming]\n"
         "  espsim serve [--profile memcached|http|testsrv] "
         "[--configs a,b] [--events N] [--window N]\n"
         "               [--reservoir N] "
@@ -114,11 +111,7 @@ usage()
         "               [--trace-spans [path]] [--spike-event N]\n"
         "               [--telemetry [path]] [--telemetry-period N]\n"
         "  espsim gen   --app <name> --out <file> [--events N]\n"
-        "  espsim diff  <baseline.json> <candidate.json> "
-        "[--rel-tol F] [--abs-tol F]\n"
-        "               [--headline a,b,c] [--headline-rel-tol F] "
-        "[--max-rows N]\n"
-        "               [--ignore-config-hash]\n"
+        "  espsim diff  <baseline.json> <candidate.json>\n"
         "  espsim fuzz  [--runs N] [--seed S] [--verbose]\n"
         "  espsim list\n"
         "  espsim --version\n"
@@ -129,7 +122,7 @@ usage()
 /**
  * Checked numeric option parsing: every numeric flag goes through one
  * of these instead of raw std::stoul / strtod, so `--events abc` (or
- * `--rel-tol 0.1x`) prints the usage text and exits 2 instead of
+ * `--gap 0.1x`) prints the usage text and exits 2 instead of
  * aborting on an uncaught std::invalid_argument or silently reading
  * a half-parsed value. Trailing garbage is rejected, and so are
  * `nan` and `inf`, which no option means.
@@ -445,17 +438,6 @@ cmdSuite(const std::map<std::string, std::string> &flags)
         }
         logLine(LogLevel::Info, "# wrote %s", path.c_str());
     }
-    if (const std::string path =
-            artifactPath(flags, "csv", "espsim_suite.csv");
-        !path.empty()) {
-        if (!writeTextFile(path, renderSuiteArtifactCsv(
-                                     manifest, configs, rows))) {
-            logLine(LogLevel::Error, "cannot write '%s'",
-                    path.c_str());
-            return 1;
-        }
-        logLine(LogLevel::Info, "# wrote %s", path.c_str());
-    }
     // Degraded sweeps exit non-zero so CI notices, even though every
     // healthy cell completed and the artifacts were still written.
     return suiteHasErrors(rows) ? 1 : 0;
@@ -653,42 +635,19 @@ cmdGen(const std::map<std::string, std::string> &flags)
 
 /**
  * `espsim diff` parses argv itself: its two artifact paths are
- * positional, which the shared parseFlags rejects.
+ * positional, which the shared parseFlags rejects. It takes no option
+ * but the global --log-level.
  */
 int
 cmdDiff(int argc, char **argv)
 {
-    DiffOptions opts;
     std::vector<std::string> paths;
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("--", 0) != 0) {
             paths.push_back(arg);
-            continue;
-        }
-        auto value = [&i, argc, argv]() -> std::string {
-            return i + 1 < argc ? argv[++i] : "";
-        };
-        if (arg == "--rel-tol") {
-            opts.relTol = parseDoubleOption(value(), "rel-tol");
-        } else if (arg == "--abs-tol") {
-            opts.absTol = parseDoubleOption(value(), "abs-tol");
-        } else if (arg == "--headline-rel-tol") {
-            opts.headlineRelTol =
-                parseDoubleOption(value(), "headline-rel-tol");
-        } else if (arg == "--max-rows") {
-            opts.maxRows = static_cast<std::size_t>(
-                parseUnsignedOption(value(), "max-rows"));
-        } else if (arg == "--headline") {
-            opts.headlineStats.clear();
-            std::stringstream ss(value());
-            std::string token;
-            while (std::getline(ss, token, ','))
-                opts.headlineStats.push_back(token);
-        } else if (arg == "--ignore-config-hash") {
-            opts.ignoreConfigHash = true;
         } else if (arg == "--log-level") {
-            value(); // consumed by main()'s pre-scan
+            ++i; // consumed by main()'s pre-scan
         } else {
             logLine(LogLevel::Error, "unknown option '%s' for diff",
                     arg.c_str());
@@ -699,9 +658,8 @@ cmdDiff(int argc, char **argv)
     if (paths.size() != 2)
         return usage();
 
-    const DiffResult res =
-        diffSuiteArtifactFiles(paths[0], paths[1], opts);
-    const std::string report = renderDiffReport(res, opts);
+    const DiffResult res = diffSuiteArtifactFiles(paths[0], paths[1]);
+    const std::string report = renderDiffReport(res);
     std::fputs(report.c_str(),
                res.exitCode() == 2 ? stderr : stdout);
     return res.exitCode();
@@ -746,7 +704,7 @@ commands()
           {"stats"}}},
         {"suite",
          {cmdSuite,
-          {"apps", "configs", "csv", "jobs", "json"},
+          {"apps", "configs", "jobs", "json"},
           {"streaming"}}},
         {"serve",
          {cmdServe,

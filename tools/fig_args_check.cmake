@@ -1,8 +1,8 @@
 # Argument contract of the figure binaries (bench/bench_util.hh
-# reportSetup): they accept only --jobs N, --json [path], --csv [path],
-# --version and --log-level. A misspelt flag, a stray word, and a
-# negative or zero --jobs must each exit exactly 2 with the usage line
-# on stderr, writing no artifact; the accepted flags still run.
+# reportSetup): they accept only --jobs N, --json [path], --version and
+# --log-level. A misspelt flag, a stray word, a removed flag (--csv),
+# and a negative or zero --jobs must each exit exactly 2 with the usage
+# line on stderr, writing no artifact; the accepted flags still run.
 # Invoked as:
 #   cmake -DFIG=<path to a figure binary> -DWORK_DIR=<dir> -P this-file
 
@@ -28,6 +28,8 @@ endfunction()
 
 expect_usage_exit(--jsn)
 expect_usage_exit(stray)
+expect_usage_exit(--csv)
+expect_usage_exit(--csv out.csv)
 expect_usage_exit(--jobs -3)
 expect_usage_exit(--jobs 0)
 file(GLOB written ${WORK_DIR}/*)

@@ -17,18 +17,21 @@ if(NOT suite_rc EQUAL 0)
 endif()
 
 # The thread-pool sweep promises artifacts byte-identical at any
-# --jobs count; espsim diff (exact tolerance) enforces it.
+# --jobs count; espsim diff (every stat, exactly) enforces it. This is
+# also the golden-gate matrix: it must match tools/update_golden.sh.
 execute_process(
-    COMMAND ${ESPSIM_CLI} suite --apps amazon,bing --configs base,ESP+NL
-        --jobs 1 --json ${ARTIFACT_DIR}/suite_jobs1.json
+    COMMAND ${ESPSIM_CLI} suite --apps amazon,bing
+        --configs base,NL+S,Runahead+NL,ESP+NL --jobs 1
+        --json ${ARTIFACT_DIR}/suite_jobs1.json
     RESULT_VARIABLE jobs1_rc)
 if(NOT jobs1_rc EQUAL 0)
     message(FATAL_ERROR "espsim suite --jobs 1 failed (${jobs1_rc})")
 endif()
 
 execute_process(
-    COMMAND ${ESPSIM_CLI} suite --apps amazon,bing --configs base,ESP+NL
-        --jobs 8 --json ${ARTIFACT_DIR}/suite_jobs8.json
+    COMMAND ${ESPSIM_CLI} suite --apps amazon,bing
+        --configs base,NL+S,Runahead+NL,ESP+NL --jobs 8
+        --json ${ARTIFACT_DIR}/suite_jobs8.json
     RESULT_VARIABLE jobs8_rc)
 if(NOT jobs8_rc EQUAL 0)
     message(FATAL_ERROR "espsim suite --jobs 8 failed (${jobs8_rc})")
@@ -75,7 +78,7 @@ endif()
 # bounded-window path can never drift from the materialised one.
 execute_process(
     COMMAND ${ESPSIM_CLI} suite --streaming --apps amazon,bing
-        --configs base,ESP+NL --jobs 2
+        --configs base,NL+S,Runahead+NL,ESP+NL --jobs 2
         --json ${ARTIFACT_DIR}/suite_streaming.json
     RESULT_VARIABLE streaming_rc)
 if(NOT streaming_rc EQUAL 0)

@@ -5,8 +5,10 @@
 #
 #   tools/update_golden.sh [build-dir]
 #
-# The sweep matrix here must stay in sync with the suite_jobs1.json
-# command in tools/generate_artifacts.cmake — the gate diffs the two.
+# The sweep matrix here must stay in sync with the three golden-matrix
+# suite commands in tools/generate_artifacts.cmake (--jobs 1, --jobs 8
+# and --streaming): diff_golden and diff_streaming_golden hold their
+# artifacts to this golden, every stat exactly.
 set -eu
 
 repo_root=$(cd "$(dirname "$0")/.." && pwd)
@@ -21,7 +23,7 @@ fi
 
 tmp=$(mktemp)
 trap 'rm -f "${tmp}"' EXIT
-"${espsim}" suite --apps amazon,bing --configs base,ESP+NL \
+"${espsim}" suite --apps amazon,bing --configs base,NL+S,Runahead+NL,ESP+NL \
     --jobs 1 --json "${tmp}"
 
 if [ -f "${golden}" ]; then
